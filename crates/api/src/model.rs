@@ -282,10 +282,11 @@ pub struct WireShardResult {
 /// The outcome of one applied edge update (wire v7).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireUpdateResult {
-    /// Node states the targeted invalidation recomputed (the service's
-    /// owned subset: the whole affected set on a full engine, the
-    /// shard-owned part on a shard backend, the sum over shards on a
-    /// router).
+    /// Node states whose BCA the update re-ran — those whose walk pushed
+    /// the edited row (the service's owned subset: summed over the full
+    /// index on an engine, the shard-owned part on a shard backend, the sum
+    /// over shards on a router). States only rematerialized against
+    /// recomputed hub columns are not counted here.
     pub recomputed_states: u64,
     /// Hub columns recomputed.
     pub recomputed_hubs: u64,

@@ -16,13 +16,15 @@
 //! matrix persists only an aggregate unrounded-nnz count a targeted
 //! recompute cannot reproduce).
 //!
-//! Honesty notes carried into the artifact: on scale-free (R-MAT) graphs
-//! the affected set of one edit is frequently near-global, so
-//! `mean_recomputed_states` close to `nodes` is expected, not a bug —
-//! the win over rebuilding is skipping hub *reselection* and the solve
-//! for unaffected states, not locality. Thread counts above the machine's
-//! cores are flagged `oversubscribed` rather than silently reported as
-//! scaling.
+//! Each row reports the three sizes behind an update's cost, averaged per
+//! update: `mean_affected_states` (the BFS set of nodes that can reach the
+//! edited source — on scale-free R-MAT graphs often a large share of the
+//! graph), `mean_recomputed_states` (the states whose walk pushed the
+//! source, so their BCA re-runs) and `mean_rematerialized_states` (the
+//! other states that parked ink on a recomputed hub column, which only
+//! rebuild their top-K bounds). Re-runs are a subset of the BFS set. Thread
+//! counts above the machine's cores are flagged `oversubscribed` rather
+//! than silently reported as scaling.
 //!
 //! Merges an `incremental_vs_rebuild` member into `BENCH_query.json`
 //! (owned by `parallel_study`); the other members are preserved verbatim.
@@ -30,10 +32,10 @@
 use std::time::Instant;
 
 use rtk_bench::{banner, graph_json, mean, merge_json_artifact, obj, print_table, Args};
-use rtk_core::{ReverseTopkEngine, UpdateRecord};
+use rtk_core::{ReverseTopkEngine, UpdateEffect, UpdateRecord};
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::{DiGraph, NodeId};
-use rtk_index::HubSelection;
+use rtk_index::{affected_set, HubSelection};
 use rtk_obs::Json;
 use rtk_query::QueryOptions;
 
@@ -129,9 +131,8 @@ fn main() {
     );
     println!(
         "cores: {cores} (rows with threads > cores are flagged oversubscribed);\n\
-         R-MAT affected sets are frequently near-global — mean_recomputed_states\n\
-         near the node count is expected, the saving is hub reselection + the\n\
-         unaffected remainder, not locality.\n"
+         per update: BFS = states that can reach the source, re-run = states\n\
+         whose walk pushed it, remat = other states reading a recomputed hub.\n"
     );
 
     let records = update_sequence(&graph, SEED, updates);
@@ -147,15 +148,16 @@ fn main() {
         let hubs: Vec<u32> = live.index().hub_matrix().hubs().ids().to_vec();
 
         let mut per_update = Vec::with_capacity(records.len());
-        let mut recomputed_states = 0usize;
-        let mut recomputed_hubs = 0usize;
+        let mut affected_states = 0usize;
+        let mut effects = UpdateEffect::default();
         for record in &records {
+            affected_states += affected_set(live.graph(), record.source()).len();
             let t = Instant::now();
             let effect = live.replay_updates(std::slice::from_ref(record)).expect("update");
             per_update.push(t.elapsed().as_secs_f64());
-            recomputed_states += effect.recomputed_states;
-            recomputed_hubs += effect.recomputed_hubs;
+            effects.merge(effect);
         }
+        let per_op = |count: usize| count as f64 / records.len() as f64;
 
         let t1 = Instant::now();
         let mut oracle = build(live.graph().clone(), threads, Some(hubs));
@@ -191,7 +193,9 @@ fn main() {
             format!("{threads}{}", if oversubscribed { "*" } else { "" }),
             format!("{build_seconds:.3}"),
             format!("{:.6}", mean_update),
-            format!("{:.1}", recomputed_states as f64 / records.len() as f64),
+            format!("{:.1}", per_op(affected_states)),
+            format!("{:.1}", per_op(effects.recomputed_states)),
+            format!("{:.1}", per_op(effects.rematerialized_states)),
             format!("{rebuild_seconds:.3}"),
             format!("{speedup:.1}x"),
             deterministic.to_string(),
@@ -201,8 +205,10 @@ fn main() {
             ("build_seconds", Json::F64(build_seconds)),
             ("mean_update_seconds", Json::F64(mean_update)),
             ("total_update_seconds", Json::F64(per_update.iter().sum())),
-            ("mean_recomputed_states", Json::F64(recomputed_states as f64 / records.len() as f64)),
-            ("recomputed_hubs_total", Json::U64(recomputed_hubs as u64)),
+            ("mean_affected_states", Json::F64(per_op(affected_states))),
+            ("mean_recomputed_states", Json::F64(per_op(effects.recomputed_states))),
+            ("mean_rematerialized_states", Json::F64(per_op(effects.rematerialized_states))),
+            ("recomputed_hubs_total", Json::U64(effects.recomputed_hubs as u64)),
             ("rebuild_seconds", Json::F64(rebuild_seconds)),
             ("speedup_vs_rebuild", Json::F64(speedup)),
             ("deterministic_match", Json::Bool(deterministic)),
@@ -211,7 +217,17 @@ fn main() {
     }
 
     print_table(
-        &["threads", "build s", "update s (mean)", "states/upd", "rebuild s", "speedup", "match"],
+        &[
+            "threads",
+            "build s",
+            "update s (mean)",
+            "BFS/upd",
+            "re-run/upd",
+            "remat/upd",
+            "rebuild s",
+            "speedup",
+            "match",
+        ],
         &rows_human,
     );
     println!("\n(* = more threads than the {cores} cores present — not a scaling datapoint)");

@@ -74,9 +74,11 @@ fn replay(args: &Parsed) -> Result<(), String> {
         .map_err(|e| format!("log replay: applying {log:?} over {index:?}: {e}"))?;
     engine.save_path(out).map_err(|e| format!("log replay: writing {out:?}: {e}"))?;
     println!(
-        "replayed {} update(s) over {index}: {} state(s) + {} hub vector(s) recomputed",
+        "replayed {} update(s) over {index}: {} state(s) re-run, {} rematerialized, \
+         {} hub vector(s) recomputed",
         records.len(),
         effect.recomputed_states,
+        effect.rematerialized_states,
         effect.recomputed_hubs
     );
     println!("wrote {out} (index digest {:016x})", engine.index_digest());

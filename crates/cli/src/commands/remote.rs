@@ -196,7 +196,7 @@ fn edge_flags(args: &Parsed) -> Result<(u32, u32), String> {
 
 fn print_update(verb: &str, from: u32, to: u32, u: &rtk_server::WireUpdateResult) {
     println!(
-        "{verb} edge {from} -> {to}: {} state(s) + {} hub vector(s) recomputed; \
+        "{verb} edge {from} -> {to}: {} state(s) re-run, {} hub vector(s) recomputed; \
          index digest {:016x}",
         u.recomputed_states, u.recomputed_hubs, u.index_digest
     );

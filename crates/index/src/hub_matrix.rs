@@ -17,7 +17,7 @@ use crate::config::HubSolver;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop, PropagationStrategy};
 use rtk_rwr::{proximity_from, HubSet};
-use rtk_sparse::{top_k_of_pairs, EpochScratch, SparseVector};
+use rtk_sparse::{top_k_in_place, EpochScratch, SparseVector};
 
 /// Sparse, rounded hub proximity vectors plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -276,17 +276,23 @@ fn compute_hub_column(
 
 /// Reusable materializer for `p^t_u = w^t_u + P_H·s^t_u` (Eq. 7).
 ///
-/// Owns a dense epoch scratch sized to the graph; one instance per worker
-/// thread (index build) or per query session.
+/// Owns a dense epoch scratch sized to the graph, a plain dense accumulator
+/// and a selection buffer; one instance per worker thread (index build,
+/// update sweeps) or per query session.
 #[derive(Clone, Debug)]
 pub struct Materializer {
     scratch: EpochScratch,
+    /// Accumulator of the dense branch; all `+0.0` between calls (allocated
+    /// on first use).
+    dense: Vec<f64>,
+    /// Candidate pairs handed to the top-K selection, reused across calls.
+    selection: Vec<(u32, f64)>,
 }
 
 impl Materializer {
     /// Creates a materializer for graphs of `node_count` nodes.
     pub fn new(node_count: usize) -> Self {
-        Self { scratch: EpochScratch::new(node_count) }
+        Self { scratch: EpochScratch::new(node_count), dense: Vec::new(), selection: Vec::new() }
     }
 
     /// Materializes the lower-bound vector of `snapshot` and returns the
@@ -295,29 +301,101 @@ impl Materializer {
         self.scratch.reset();
         snapshot.retained.scatter_into(1.0, &mut self.scratch);
         for (h, s) in snapshot.hub_ink.iter() {
-            let col = hub_matrix
-                .column(h)
-                .expect("hub ink parked at a node missing from the hub matrix");
-            col.scatter_into(s, &mut self.scratch);
+            hub_column(hub_matrix, h).scatter_into(s, &mut self.scratch);
         }
         &self.scratch
     }
 
-    /// Materializes and selects the descending top-`k` entries.
+    /// Materializes and selects the descending top-`k` entries (positive
+    /// values only; ties broken by smaller id).
+    ///
+    /// Two branches, chosen by the scatter work `nnz(w) + Σ_h nnz(p_h)`:
+    /// below `n` the epoch scratch touches only what the scatter reaches;
+    /// at `n` or more a plain dense accumulator is cheaper, since the
+    /// scatter already costs as much as one pass over all `n` slots and the
+    /// dense adds skip the epoch bookkeeping. Both add every entry's terms
+    /// in the same order (`w`, then hub columns in ascending hub id), and
+    /// the first add into a slot is exact either way (`0.0 + x == x` for the
+    /// non-negative terms here), so the branches agree bit for bit.
     pub fn top_k(
         &mut self,
         snapshot: &BcaSnapshot,
         hub_matrix: &HubMatrix,
         k: usize,
     ) -> Vec<(u32, f64)> {
-        let scratch = self.materialize(snapshot, hub_matrix);
-        top_k_of_pairs(scratch.iter_touched().filter(|&(_, v)| v > 0.0), k)
+        if scatter_work(snapshot, hub_matrix) >= self.scratch.len() {
+            self.top_k_dense(snapshot, hub_matrix, k)
+        } else {
+            self.top_k_epoch(snapshot, hub_matrix, k)
+        }
     }
+
+    fn top_k_epoch(
+        &mut self,
+        snapshot: &BcaSnapshot,
+        hub_matrix: &HubMatrix,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        self.materialize(snapshot, hub_matrix);
+        self.selection.clear();
+        self.selection.extend(self.scratch.iter_touched().filter(|&(_, v)| v > 0.0));
+        top_k_in_place(&mut self.selection, k)
+    }
+
+    fn top_k_dense(
+        &mut self,
+        snapshot: &BcaSnapshot,
+        hub_matrix: &HubMatrix,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        self.dense.resize(self.scratch.len(), 0.0);
+        let dense = &mut self.dense;
+        // `scatter_into(1.0, ..)` adds `1.0 * v`, which is `v` bit for bit.
+        for (i, v) in snapshot.retained.iter() {
+            dense[i as usize] += v;
+        }
+        for (h, s) in snapshot.hub_ink.iter() {
+            for (i, v) in hub_column(hub_matrix, h).iter() {
+                dense[i as usize] += s * v;
+            }
+        }
+        // One pass collects the candidates and re-zeroes the accumulator.
+        self.selection.clear();
+        for (i, slot) in dense.iter_mut().enumerate() {
+            let v = std::mem::take(slot);
+            if v > 0.0 {
+                self.selection.push((i as u32, v));
+            }
+        }
+        top_k_in_place(&mut self.selection, k)
+    }
+}
+
+/// The stored column of hub `h`, which a snapshot's hub ink may name only if
+/// it is a hub of `hub_matrix`.
+fn hub_column(hub_matrix: &HubMatrix, h: u32) -> &SparseVector {
+    hub_matrix
+        .column(h)
+        .expect("hub ink parked at a node missing from the hub matrix")
+}
+
+/// Entries a materialization of `snapshot` scatters: `nnz(w) + Σ_h nnz(p_h)`
+/// over the hubs holding ink.
+fn scatter_work(snapshot: &BcaSnapshot, hub_matrix: &HubMatrix) -> usize {
+    snapshot.retained.nnz()
+        + snapshot
+            .hub_ink
+            .indices()
+            .iter()
+            .map(|&h| hub_column(hub_matrix, h).nnz())
+            .sum::<usize>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use rtk_graph::{DanglingPolicy, DiGraph, GraphBuilder};
     use rtk_rwr::{BcaParams, RwrParams};
 
@@ -450,6 +528,139 @@ mod tests {
         assert_eq!(top2.len(), 2);
         assert_eq!(top2[0].0, 1); // p_3 (paper) peaks at node 2 (1-based)
         assert!(top2[0].1 >= top2[1].1);
+    }
+
+    /// A random hub matrix over `n` nodes (columns from [`random_sparse`]).
+    fn random_hub_matrix(rng: &mut StdRng, n: usize, hub_count: usize) -> HubMatrix {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(rng);
+        ids.truncate(hub_count);
+        let hubs = HubSet::from_ids(n, ids);
+        let columns: Vec<SparseVector> = (0..hubs.len())
+            .map(|_| {
+                let nnz = rng.gen_range(0..n / 3);
+                random_sparse(rng, n, nnz)
+            })
+            .collect();
+        let deficits = columns.iter().map(|c| (1.0 - c.sum()).max(0.0)).collect();
+        let nnz = columns.iter().map(|c| c.nnz()).collect();
+        HubMatrix::from_parts(hubs, columns, deficits, nnz, 0.0)
+    }
+
+    /// A positive value: half the time from a coarse grid (so sums tie),
+    /// half the time a full-precision fraction (so summation order shows
+    /// in the low bits).
+    fn random_value(rng: &mut StdRng, scale: f64) -> f64 {
+        if rng.gen_bool(0.5) {
+            scale * f64::from(rng.gen_range(1..8u32)) / 8.0
+        } else {
+            scale * (1e-3 + rng.gen::<f64>())
+        }
+    }
+
+    /// `nnz` distinct random indices below `n` with [`random_value`]s.
+    fn random_sparse(rng: &mut StdRng, n: usize, nnz: usize) -> SparseVector {
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        idx.shuffle(rng);
+        idx.truncate(nnz);
+        idx.sort_unstable();
+        let values = idx.iter().map(|_| random_value(rng, 1.0 / 8.0)).collect();
+        SparseVector::from_parts(idx, values)
+    }
+
+    /// A snapshot whose hub ink covers `inked` hubs and whose retained
+    /// vector has `retained_nnz` entries.
+    fn random_snapshot(
+        rng: &mut StdRng,
+        m: &HubMatrix,
+        inked: &[u32],
+        retained_nnz: usize,
+    ) -> BcaSnapshot {
+        let n = m.hubs().node_count();
+        let mut hubs = inked.to_vec();
+        hubs.sort_unstable();
+        let ink = hubs.iter().map(|_| random_value(rng, 0.5)).collect();
+        BcaSnapshot {
+            source: 0,
+            iterations: 1,
+            residue: SparseVector::new(),
+            retained: random_sparse(rng, n, retained_nnz),
+            hub_ink: SparseVector::from_parts(hubs, ink),
+        }
+    }
+
+    fn bits(top: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        top.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    /// Runs both branches and the dispatching entry point on `snap`; all
+    /// three must agree bit for bit. Returns the dispatched result.
+    fn assert_branches_agree(
+        mat: &mut Materializer,
+        snap: &BcaSnapshot,
+        m: &HubMatrix,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        let dense = mat.top_k_dense(snap, m, k);
+        let epoch = mat.top_k_epoch(snap, m, k);
+        let dispatched = mat.top_k(snap, m, k);
+        assert_eq!(bits(&dense), bits(&epoch), "dense vs epoch, k={k}");
+        assert_eq!(bits(&dispatched), bits(&epoch), "dispatch vs epoch, k={k}");
+        dispatched
+    }
+
+    #[test]
+    fn dense_and_epoch_materializers_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x6d61_7465);
+        for case in 0..60 {
+            let n = rng.gen_range(8..64usize);
+            let hub_count = rng.gen_range(0..n / 4 + 1);
+            let m = random_hub_matrix(&mut rng, n, hub_count);
+            let hub_ids = m.hubs().ids().to_vec();
+            let mut mat = Materializer::new(n);
+            let inked: Vec<u32> = hub_ids.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+            let retained_nnz = rng.gen_range(0..n);
+            let snap = random_snapshot(&mut rng, &m, &inked, retained_nnz);
+            let support = {
+                let mut dense = vec![0.0; n];
+                for (i, v) in snap.retained.iter() {
+                    dense[i as usize] += v;
+                }
+                for (h, s) in snap.hub_ink.iter() {
+                    for (i, v) in m.column(h).unwrap().iter() {
+                        dense[i as usize] += s * v;
+                    }
+                }
+                dense.iter().filter(|&&v| v > 0.0).count()
+            };
+            for k in [0, 1, 3, support, support + 5] {
+                let top = assert_branches_agree(&mut mat, &snap, &m, k);
+                assert_eq!(top.len(), k.min(support), "case {case}, k={k}");
+            }
+            // Empty hub ink: the retained vector alone.
+            let bare = random_snapshot(&mut rng, &m, &[], retained_nnz);
+            assert_branches_agree(&mut mat, &bare, &m, 4);
+        }
+    }
+
+    #[test]
+    fn materializer_switches_to_dense_at_n_scatter_entries() {
+        let mut rng = StdRng::seed_from_u64(0x7363_6174);
+        let n = 40;
+        let m = random_hub_matrix(&mut rng, n, 4);
+        let inked: Vec<u32> = m.hubs().ids().iter().copied().take(2).collect();
+        let hub_work: usize = inked.iter().map(|&h| m.column(h).unwrap().nnz()).sum();
+        assert!(hub_work < n - 1, "test premise: room for retained entries");
+        for (work, dense_expected) in [(n - 1, false), (n, true)] {
+            let snap = random_snapshot(&mut rng, &m, &inked, work - hub_work);
+            assert_eq!(scatter_work(&snap, &m), work);
+            let mut mat = Materializer::new(n);
+            assert_branches_agree(&mut mat, &snap, &m, 6);
+            let mut fresh = Materializer::new(n);
+            fresh.top_k(&snap, &m, 6);
+            // The dense accumulator is allocated by the dense branch only.
+            assert_eq!(!fresh.dense.is_empty(), dense_expected, "scatter work {work}");
+        }
     }
 
     #[test]

@@ -206,29 +206,23 @@ impl ReverseIndex {
     /// transition row is `source` (the edge's tail; see [`crate::update`]).
     /// `transition` must already reflect the mutated graph. Recomputes the
     /// affected hub columns first (states materialize against `P_H`), then
-    /// the affected node states, with the exact Algorithm 1 recipes — so the
-    /// post-update index is bitwise-equal to a full rebuild as long as
-    /// untouched states were never query-refined. Everything outside the
-    /// affected set is left alone.
+    /// re-runs BCA for the affected states whose walk pushed `source` and
+    /// rebuilds only the top-K bounds of those that parked ink on a
+    /// recomputed hub — so the post-update index is bitwise-equal to a full
+    /// rebuild as long as no state was query-refined. Everything else is
+    /// left alone.
     pub fn apply_update(
         &mut self,
         transition: &TransitionMatrix<'_>,
         source: u32,
     ) -> crate::update::UpdateEffect {
-        let affected = crate::update::affected_set(transition.graph(), source);
-        let hub_ids: Vec<u32> = affected
-            .iter()
-            .copied()
-            .filter(|&h| self.hub_matrix.hubs().position(h).is_some())
-            .collect();
-        let threads = self.config.effective_threads();
-        self.hub_matrix
-            .recompute_columns(transition, &hub_ids, &self.config.hub_solver, threads);
-        let fresh =
-            crate::update::recompute_states(transition, &self.hub_matrix, &self.config, &affected);
-        let recomputed_states = fresh.len();
-        self.commit_states(fresh);
-        crate::update::UpdateEffect { recomputed_states, recomputed_hubs: hub_ids.len() }
+        crate::update::apply_tiered_update(
+            transition,
+            &self.config,
+            &mut self.hub_matrix,
+            &mut self.shards,
+            source,
+        )
     }
 
     /// Recomputes total heap bytes (states drift as queries refine them).

@@ -25,15 +25,10 @@ impl NodeState {
         materializer: &mut Materializer,
         max_k: usize,
     ) -> Self {
-        let top = materializer.top_k(&snapshot, hub_matrix, max_k);
+        let (lower_bounds, parked_deficit) =
+            materialize_bounds(&snapshot, hub_matrix, materializer, max_k);
         let residue_norm = snapshot.residue_norm();
-        let parked_deficit = hub_matrix.parked_deficit(&snapshot.hub_ink);
-        Self {
-            snapshot,
-            lower_bounds: DescendingTopK::from_sorted(top, max_k),
-            residue_norm,
-            parked_deficit,
-        }
+        Self { snapshot, lower_bounds, residue_norm, parked_deficit }
     }
 
     /// Reassembles a state from stored parts without re-materializing
@@ -93,6 +88,38 @@ impl NodeState {
     pub fn heap_bytes(&self) -> usize {
         self.snapshot.heap_bytes() + self.lower_bounds.heap_bytes() + 2 * 8
     }
+
+    /// The parts of this state derived from the hub matrix — the top-K
+    /// bounds and the parked-deficit cache — recomputed against
+    /// `hub_matrix`, with the snapshot left as it is. Install them with
+    /// [`Self::set_materialized`].
+    pub(crate) fn rematerialized(
+        &self,
+        hub_matrix: &HubMatrix,
+        materializer: &mut Materializer,
+    ) -> (DescendingTopK, f64) {
+        materialize_bounds(&self.snapshot, hub_matrix, materializer, self.lower_bounds.capacity())
+    }
+
+    /// Installs bounds from [`Self::rematerialized`].
+    pub(crate) fn set_materialized(
+        &mut self,
+        (lower_bounds, parked_deficit): (DescendingTopK, f64),
+    ) {
+        self.lower_bounds = lower_bounds;
+        self.parked_deficit = parked_deficit;
+    }
+}
+
+/// Top-K bounds and `Σ_h s(h)·d_h` of `snapshot` against `hub_matrix`.
+fn materialize_bounds(
+    snapshot: &BcaSnapshot,
+    hub_matrix: &HubMatrix,
+    materializer: &mut Materializer,
+    max_k: usize,
+) -> (DescendingTopK, f64) {
+    let top = materializer.top_k(snapshot, hub_matrix, max_k);
+    (DescendingTopK::from_sorted(top, max_k), hub_matrix.parked_deficit(&snapshot.hub_ink))
 }
 
 /// Runs `stop`-bounded refinement on `state` (Alg. 1 lines 6–8 resumed):
@@ -111,11 +138,9 @@ pub fn refine_state(
 ) -> u32 {
     let executed = engine.resume(transition, &mut state.snapshot, stop);
     if executed > 0 {
-        let max_k = state.lower_bounds.capacity();
-        let top = materializer.top_k(&state.snapshot, hub_matrix, max_k);
-        state.lower_bounds = DescendingTopK::from_sorted(top, max_k);
+        let bounds = state.rematerialized(hub_matrix, materializer);
+        state.set_materialized(bounds);
         state.residue_norm = state.snapshot.residue_norm();
-        state.parked_deficit = hub_matrix.parked_deficit(&state.snapshot.hub_ink);
     }
     executed
 }

@@ -329,6 +329,17 @@ impl BcaEngine {
             // hubs stay in `r` until next iteration's sweep.
             let alpha = self.params.alpha;
             for &(v, rv) in &frontier {
+                // Incremental updates decide "this walk read v's out-row" by
+                // `w(v) > 0`, so a push must never retain an exact zero.
+                // A frontier entry is either `≥ η` (validated positive) or
+                // `≥ rmax/2` (the adaptive batch; the single-node fallback
+                // takes `rmax` itself), and `rmax ≥ ‖r‖₁/n` with
+                // `‖r‖₁ > f64::MIN_POSITIVE` while the loop runs, so
+                // `rv > f64::MIN_POSITIVE/2n`. Scaling that by `α` lands
+                // below the smallest denormal only if `α < n·2⁻⁵²`, far
+                // under any usable restart probability, so `α·r` cannot
+                // underflow to `0.0` and hide a push.
+                debug_assert!(alpha * rv > 0.0, "push of node {v} retained no ink");
                 self.retained.add(v as usize, alpha * rv);
                 let spill = (1.0 - alpha) * rv;
                 // Kernel-backed when the view carries one: same values, but

@@ -26,22 +26,34 @@ where
     if k == 0 {
         return Vec::new();
     }
+    let mut all: Vec<(u32, f64)> = pairs.into_iter().collect();
+    top_k_in_place(&mut all, k)
+}
+
+/// Selects the `k` largest pairs of `buf` — descending by value, ties broken
+/// by smaller index, exactly as [`top_k_of_pairs`] — into a fresh vector of
+/// exactly the selected length. `buf` is reordered in place, so a caller
+/// that reuses one buffer across calls pays no per-call allocation beyond
+/// the result.
+pub fn top_k_in_place(buf: &mut [(u32, f64)], k: usize) -> Vec<(u32, f64)> {
     #[inline]
     fn by_value_desc(a: &(u32, f64), b: &(u32, f64)) -> std::cmp::Ordering {
         b.1.partial_cmp(&a.1).expect("top_k_of_pairs: NaN value").then(a.0.cmp(&b.0))
     }
-    let mut all: Vec<(u32, f64)> = pairs.into_iter().collect();
-    debug_assert!(all.iter().all(|&(_, v)| v.is_finite()), "top_k_of_pairs: non-finite value");
-    if all.len() > k {
-        all.select_nth_unstable_by(k - 1, by_value_desc);
-        all.truncate(k);
-        // The result is retained long-term (index columns, thresholds);
-        // dropping the selection buffer's excess capacity keeps memory
-        // accounting honest.
-        all.shrink_to_fit();
+    if k == 0 {
+        return Vec::new();
     }
-    all.sort_unstable_by(by_value_desc);
-    all
+    debug_assert!(buf.iter().all(|&(_, v)| v.is_finite()), "top_k_of_pairs: non-finite value");
+    let head = if buf.len() > k {
+        buf.select_nth_unstable_by(k - 1, by_value_desc);
+        &mut buf[..k]
+    } else {
+        buf
+    };
+    head.sort_unstable_by(by_value_desc);
+    // The result is retained long-term (index columns, thresholds), so it
+    // is sized exactly rather than inheriting the selection buffer.
+    head.to_vec()
 }
 
 /// A fixed-capacity descending top-K list of `(index, value)` pairs.

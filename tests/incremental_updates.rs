@@ -16,7 +16,10 @@ use rtk_graph::gen::{erdos_renyi, rmat, ErdosRenyiConfig, RmatConfig};
 use rtk_graph::NodeId;
 use rtk_graph::{DiGraph, TransitionMatrix};
 use rtk_index::HubSelection;
-use rtk_query::{QueryEngine, QueryOptions};
+use rtk_query::baseline::brute_force_reverse_topk;
+use rtk_query::{BoundMode, QueryEngine, QueryOptions};
+use rtk_rwr::exact::proximity_matrix_dense;
+use rtk_rwr::RwrParams;
 
 const UPDATES: usize = 200;
 
@@ -282,6 +285,68 @@ fn shard_replicas_converge_under_the_same_log() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A refinement that survives an edit stays sound. Update-mode queries
+/// refine states in place; an edit keeps every refined state whose walk did
+/// not push the edited row (only rematerializing it against recomputed hub
+/// columns). After every edit, in both bound modes, each stored lower bound
+/// must still be at most the exact proximity on the mutated graph, and every
+/// update-mode answer must equal brute force.
+#[test]
+fn query_refinements_stay_sound_across_edits() {
+    const EDITS: usize = 40;
+    for (label, graph) in test_graphs() {
+        for bound_mode in [BoundMode::PaperFaithful, BoundMode::Strict] {
+            let mut live = build_engine(graph.clone(), 1);
+            let alpha = live.index().config().alpha();
+            let params = RwrParams { alpha, ..RwrParams::default() };
+            let opts = QueryOptions {
+                update_index: true,
+                bound_mode,
+                query_threads: 1,
+                ..Default::default()
+            };
+            let n = live.node_count();
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut survivors = 0usize;
+            let records = update_sequence(live.graph(), 11, EDITS);
+            for (step, record) in records.iter().enumerate() {
+                live.replay_updates(std::slice::from_ref(record)).unwrap();
+                let mutated = live.graph().clone();
+                let t = TransitionMatrix::new(&mutated);
+
+                // Refined states the edit kept: they differ from a fresh run.
+                let index = live.index();
+                survivors +=
+                    rtk_index::recompute_states(&t, index.hub_matrix(), index.config(), &all)
+                        .iter()
+                        .filter(|(u, fresh)| index.state(*u) != fresh)
+                        .count();
+                let exact = proximity_matrix_dense(&t, alpha);
+                for (u, row) in exact.iter().enumerate() {
+                    for &(v, lb) in live.index().state(u as u32).lower_bounds().entries() {
+                        let p = row[v as usize];
+                        assert!(
+                            lb <= p + 1e-9,
+                            "{label} {bound_mode:?} step {step}: lb p_{u}({v}) = {lb} > exact {p}"
+                        );
+                    }
+                }
+
+                for (q, k) in probe_queries(step, n, 4) {
+                    let got = live.query_with(NodeId(q), k, &opts).unwrap();
+                    let expected = brute_force_reverse_topk(&t, q, k, &params);
+                    assert_eq!(
+                        got.nodes(),
+                        &expected[..],
+                        "{label} {bound_mode:?} step {step}: q={q} k={k}"
+                    );
+                }
+            }
+            assert!(survivors > 0, "{label} {bound_mode:?}: no refinement survived an edit");
+        }
+    }
 }
 
 /// Error paths stay loud and side-effect-free: a rejected update (unknown
