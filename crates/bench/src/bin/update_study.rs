@@ -16,6 +16,10 @@
 //! matrix persists only an aggregate unrounded-nnz count a targeted
 //! recompute cannot reproduce).
 //!
+//! Each row also times `hub_build_seconds`: `HubMatrix::build` alone on
+//! the row's pinned hub set and pre-update graph, outside the update loop
+//! — the hub layer an update re-solves column by column.
+//!
 //! Each row reports the three sizes behind an update's cost, averaged per
 //! update: `mean_affected_states` (the BFS set of nodes that can reach the
 //! edited source — on scale-free R-MAT graphs often a large share of the
@@ -34,10 +38,11 @@ use std::time::Instant;
 use rtk_bench::{banner, graph_json, mean, merge_json_artifact, obj, print_table, Args};
 use rtk_core::{ReverseTopkEngine, UpdateEffect, UpdateRecord};
 use rtk_graph::gen::{rmat, RmatConfig};
-use rtk_graph::{DiGraph, NodeId};
-use rtk_index::{affected_set, HubSelection};
+use rtk_graph::{DiGraph, NodeId, TransitionMatrix};
+use rtk_index::{affected_set, HubMatrix, HubSelection};
 use rtk_obs::Json;
 use rtk_query::QueryOptions;
+use rtk_rwr::HubSet;
 
 const OUT_PATH: &str = "BENCH_query.json";
 const SEED: u64 = 7;
@@ -118,7 +123,7 @@ fn build(graph: DiGraph, threads: usize, hubs: Option<Vec<u32>>) -> ReverseTopkE
 
 fn main() {
     let args = Args::parse();
-    let (nodes, edges, updates) = if args.quick { (700, 3_600, 30) } else { (4_000, 24_000, 150) };
+    let (nodes, edges, updates) = if args.quick { (700, 3_600, 30) } else { (5_000, 30_000, 150) };
     let updates = args.queries.unwrap_or(updates);
     let graph = rmat(&RmatConfig::new(nodes, edges, SEED)).expect("rmat");
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
@@ -146,6 +151,24 @@ fn main() {
         let mut live = build(graph.clone(), threads, None);
         let build_seconds = t0.elapsed().as_secs_f64();
         let hubs: Vec<u32> = live.index().hub_matrix().hubs().ids().to_vec();
+
+        let transition = TransitionMatrix::new(&graph);
+        let config = live.index().config();
+        let pinned = HubSet::from_ids(graph.node_count(), hubs.clone());
+        let t = Instant::now();
+        let hub_matrix = HubMatrix::build(
+            &transition,
+            pinned,
+            &config.hub_solver,
+            config.rounding_threshold,
+            threads,
+        );
+        let hub_build_seconds = t.elapsed().as_secs_f64();
+        assert_eq!(
+            &hub_matrix,
+            live.index().hub_matrix(),
+            "the pinned hub build must reproduce the engine's hub matrix"
+        );
 
         let mut per_update = Vec::with_capacity(records.len());
         let mut affected_states = 0usize;
@@ -192,6 +215,7 @@ fn main() {
         rows_human.push(vec![
             format!("{threads}{}", if oversubscribed { "*" } else { "" }),
             format!("{build_seconds:.3}"),
+            format!("{hub_build_seconds:.3}"),
             format!("{:.6}", mean_update),
             format!("{:.1}", per_op(affected_states)),
             format!("{:.1}", per_op(effects.recomputed_states)),
@@ -203,6 +227,7 @@ fn main() {
         rows_json.push(obj(vec![
             ("threads", Json::U64(threads as u64)),
             ("build_seconds", Json::F64(build_seconds)),
+            ("hub_build_seconds", Json::F64(hub_build_seconds)),
             ("mean_update_seconds", Json::F64(mean_update)),
             ("total_update_seconds", Json::F64(per_update.iter().sum())),
             ("mean_affected_states", Json::F64(per_op(affected_states))),
@@ -220,6 +245,7 @@ fn main() {
         &[
             "threads",
             "build s",
+            "hub build s",
             "update s (mean)",
             "BFS/upd",
             "re-run/upd",

@@ -35,6 +35,16 @@
 //! arrays with a **single accumulator in serial edge order**, so the result
 //! is bitwise identical to the legacy per-node walk while letting the CPU
 //! overlap the index loads.
+//!
+//! Solvers with many sources use the **blocked** forward operator
+//! [`TransitionMatrix::apply_forward_lanes`]: `W` iterates stored
+//! lane-interleaved (`x[v·W + j]`), advanced by one serial sweep over the
+//! in-edges (`gather_lanes`). Each lane has its own accumulator and
+//! receives the same products in the same edge order as [`gather_dot`], and
+//! the restart term is added exactly as the single-vector apply adds it, so
+//! every lane is bitwise identical to a single-vector apply — while one
+//! index load and one weight load serve `W` vectors, and `W` independent
+//! add chains replace one serial chain.
 
 use crate::csr::{DiGraph, EdgeSplice, SpliceKind};
 use rtk_sparse::WorkerPool;
@@ -207,6 +217,29 @@ pub fn gather_dot(cols: &[u32], weights: &[f64], x: &[f64]) -> f64 {
     while k < n {
         acc += weights[k] * x[cols[k] as usize];
         k += 1;
+    }
+    acc
+}
+
+/// [`gather_dot`] over `W` lane-interleaved vectors at once: lane `j` of
+/// the result is `Σ weight[k]·x[col[k]·W + j]`.
+///
+/// Each lane owns its accumulator, starts it at `0.0` and adds the products
+/// one at a time in array order, exactly as [`gather_dot`] does for a single
+/// vector; lanes never mix. So lane `j` is bitwise identical to
+/// `gather_dot(cols, weights, x_j)` where `x_j` is the `j`-th de-interleaved
+/// vector. One index load and one weight load serve all `W` lanes, and the
+/// `W` independent add chains replace a single serial one.
+#[inline]
+fn gather_lanes<const W: usize>(cols: &[u32], weights: &[f64], x: &[f64]) -> [f64; W] {
+    debug_assert_eq!(cols.len(), weights.len());
+    let mut acc = [0.0; W];
+    for (&c, &w) in cols.iter().zip(weights) {
+        let start = c as usize * W;
+        let xs: &[f64; W] = x[start..start + W].try_into().expect("lane row is W wide");
+        for j in 0..W {
+            acc[j] += w * xs[j];
+        }
     }
     acc
 }
@@ -565,6 +598,42 @@ impl<'g> TransitionMatrix<'g> {
         }
     }
 
+    /// The forward operator on `W` iterates at once, stored lane-interleaved
+    /// (`x[v·W + j]` is entry `v` of lane `j`): lane `j` gets
+    /// `y_j ← (1−α)·A·x_j + α·e_{restarts[j]}`, and a lane whose restart is
+    /// `None` gets no restart term (an idle lane with a zero iterate stays
+    /// zero).
+    ///
+    /// One serial sweep over the in-edges serves every lane. Each lane's
+    /// entry is summed by `gather_lanes` in the serial edge order and
+    /// finished as `damp·acc + α·r` with `r` its restart entry (`1.0` or
+    /// `0.0`), exactly as [`Self::apply_forward_restart_threaded`] finishes
+    /// a row, so lane `j` is bitwise identical to that apply with the dense
+    /// restart `e_{restarts[j]}` — on plain and kernel-backed views alike.
+    pub fn apply_forward_lanes<const W: usize>(
+        &self,
+        alpha: f64,
+        x: &[f64],
+        restarts: &[Option<u32>; W],
+        y: &mut [f64],
+    ) {
+        let n = self.node_count();
+        assert_eq!(x.len(), n * W, "apply_forward_lanes: x must hold n·W entries");
+        assert_eq!(y.len(), n * W, "apply_forward_lanes: y must hold n·W entries");
+        let damp = 1.0 - alpha;
+        for (v, out) in y.chunks_exact_mut(W).enumerate() {
+            let (cols, weights) = match self.kernel.as_deref() {
+                Some(kernel) => kernel.in_row(v),
+                None => (self.graph.in_neighbors(v as u32), self.in_probs(v as u32)),
+            };
+            let acc = gather_lanes::<W>(cols, weights, x);
+            for j in 0..W {
+                let restart = if restarts[j] == Some(v as u32) { 1.0 } else { 0.0 };
+                out[j] = damp * acc[j] + alpha * restart;
+            }
+        }
+    }
+
     /// `y ← (1−α)·Aᵀ·x + α·e_restart`, the PMPN operator (Eq. 13).
     ///
     /// Gathers over out-edges; `y` is fully overwritten.
@@ -920,6 +989,63 @@ mod tests {
             }
             let fast = gather_dot(&cols, &weights, &x);
             assert_eq!(fast.to_bits(), naive.to_bits(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn gather_lanes_matches_gather_dot_per_lane_bitwise() {
+        const W: usize = 5;
+        let rows = 64;
+        let x: Vec<f64> = (0..rows * W).map(|i| 1.0 / (i + 3) as f64).collect();
+        for len in 0..23usize {
+            let cols: Vec<u32> = (0..len).map(|k| ((k * 29 + 5) % rows) as u32).collect();
+            let weights: Vec<f64> = (0..len).map(|k| ((k % 7) + 1) as f64 / 7.0).collect();
+            let lanes = gather_lanes::<W>(&cols, &weights, &x);
+            for (j, lane) in lanes.iter().enumerate() {
+                let xj: Vec<f64> = (0..rows).map(|v| x[v * W + j]).collect();
+                let want = gather_dot(&cols, &weights, &xj);
+                assert_eq!(lane.to_bits(), want.to_bits(), "len {len}, lane {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_apply_matches_single_restart_apply_bitwise() {
+        const W: usize = 4;
+        let g = crate::gen::rmat(&crate::gen::RmatConfig::new(500, 2_500, 9)).unwrap();
+        let probs = TransitionProbs::compute(&g);
+        let kernel = TransitionKernel::build(&g, &probs);
+        let n = g.node_count();
+        let alpha = 0.15;
+        // Lane 2 is idle: zero iterate, no restart.
+        let restarts = [Some(3), Some(3), None, Some(417)];
+        let mut x = vec![0.0; n * W];
+        for v in 0..n {
+            for (j, restart) in restarts.iter().enumerate() {
+                if restart.is_some() {
+                    x[v * W + j] = ((v * 31 + j * 7 + 1) % 89) as f64 / 89.0;
+                }
+            }
+        }
+        for view in [
+            TransitionMatrix::new(&g),
+            TransitionMatrix::with_probs_and_kernel(&g, &probs, &kernel),
+        ] {
+            let mut y = vec![f64::NAN; n * W];
+            view.apply_forward_lanes::<W>(alpha, &x, &restarts, &mut y);
+            for (j, restart) in restarts.iter().enumerate() {
+                let xj: Vec<f64> = (0..n).map(|v| x[v * W + j]).collect();
+                let mut dense_restart = vec![0.0; n];
+                if let Some(u) = restart {
+                    dense_restart[*u as usize] = 1.0;
+                }
+                let mut want = vec![0.0; n];
+                view.apply_forward_restart_threaded(alpha, &xj, &dense_restart, &mut want, 1);
+                let got: Vec<u64> = (0..n).map(|v| y[v * W + j].to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "lane {j}, kernel {}", view.has_kernel());
+            }
+            assert!((0..n).all(|v| y[v * W + 2] == 0.0), "idle lane stays zero");
         }
     }
 

@@ -30,6 +30,10 @@ pub enum HubSelection {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum HubSolver {
     /// Forward power method to tolerance `ε` — near-zero mass deficit.
+    /// Columns are solved [`rtk_rwr::power::LANES`] at a time per worker by
+    /// [`rtk_rwr::proximity_from_many`], each bitwise equal to its own
+    /// [`rtk_rwr::proximity_from`]; the worker count is the index's
+    /// `threads`, and `RwrParams::threads` is not read.
     PowerMethod(RwrParams),
     /// Exhaustive-ish BCA — faster on huge graphs, leaves a tracked deficit
     /// of up to `residue_threshold` per hub.

@@ -6,6 +6,25 @@
 //! property of everything materialized from `P_H` (rounded values are `≤`
 //! exact values elementwise — the paper's Prop. 1/2 carry over, as it notes).
 //!
+//! [`HubMatrix::build`] and [`HubMatrix::recompute_columns`] share one
+//! column-solve path. Power-method columns (Eq. 12) are solved several at
+//! a time: each pool worker keeps [`rtk_rwr::power::LANES`] iterates
+//! lane-interleaved (`x[v·W + j]`) and advances all of them with one sweep
+//! over the in-edges ([`TransitionMatrix::apply_forward_lanes`]), so an
+//! edge's index and weight are loaded once for `W` columns. The result is
+//! still bit for bit what one [`rtk_rwr::proximity_from`] per hub gives:
+//!
+//! * **per-lane serial order** — each lane has its own accumulator, fed the
+//!   same products in the same edge order as `gather_dot`, and the restart
+//!   term is added as the single-source apply adds it;
+//! * **per-lane stop rule** — each lane counts its own iterations and sums
+//!   its own `Σ|x−y|` in node order, stopping at `< ε` or the iteration
+//!   cap, exactly like the single-source solve;
+//! * **refill** — a stopped lane emits its column and takes the next hub
+//!   from a counter shared by the workers; the column lands in its hub's
+//!   slot, so neither the worker count nor the order in which lanes stop
+//!   can change the matrix.
+//!
 //! Beyond the paper, each hub records its **mass deficit**
 //! `d_h = 1 − ‖stored p_h‖₁`: the proximity mass lost to rounding plus any
 //! solver truncation. A unit of ink parked at hub `h` can still deliver up to
@@ -16,8 +35,10 @@
 use crate::config::HubSolver;
 use rtk_graph::TransitionMatrix;
 use rtk_rwr::bca::{BcaEngine, BcaSnapshot, BcaStop, PropagationStrategy};
-use rtk_rwr::{proximity_from, HubSet};
-use rtk_sparse::{top_k_in_place, EpochScratch, SparseVector};
+use rtk_rwr::{proximity_from_many, HubSet};
+use rtk_sparse::{top_k_in_place, EpochScratch, SparseVector, WorkerPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Sparse, rounded hub proximity vectors plus per-hub deficits.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,55 +65,12 @@ impl HubMatrix {
         rounding_threshold: f64,
         threads: usize,
     ) -> Self {
-        let ids = hubs.ids().to_vec();
-        let mut slots: Vec<Option<HubColumn>> = vec![None; ids.len()];
-        let threads = threads.max(1).min(ids.len().max(1));
-
-        if ids.is_empty() {
-            return Self {
-                hubs,
-                columns: Vec::new(),
-                deficits: Vec::new(),
-                unrounded_nnz: Vec::new(),
-                rounding_threshold,
-            };
-        }
-
-        // Workers come from the shared pool (no spawn per build) and pull
-        // hub ids off a shared counter; each result lands in its own slot,
-        // so completion order cannot affect the matrix.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = std::sync::Mutex::new(Vec::<Vec<(usize, HubColumn)>>::new());
-        rtk_sparse::WorkerPool::global().scope(|scope| {
-            for _ in 0..threads {
-                let (ids, next, results) = (&ids, &next, &results);
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= ids.len() {
-                            break;
-                        }
-                        local.push((
-                            i,
-                            compute_hub_column(transition, ids[i], solver, rounding_threshold),
-                        ));
-                    }
-                    results.lock().expect("hub results poisoned").push(local);
-                });
-            }
-        });
-        for chunk in results.into_inner().expect("hub results poisoned") {
-            for (i, col) in chunk {
-                slots[i] = Some(col);
-            }
-        }
-
-        let mut columns = Vec::with_capacity(ids.len());
-        let mut deficits = Vec::with_capacity(ids.len());
-        let mut unrounded_nnz = Vec::with_capacity(ids.len());
-        for slot in slots {
-            let (col, deficit, nnz) = slot.expect("hub column missing");
+        let mut columns = Vec::with_capacity(hubs.len());
+        let mut deficits = Vec::with_capacity(hubs.len());
+        let mut unrounded_nnz = Vec::with_capacity(hubs.len());
+        for (col, deficit, nnz) in
+            solve_columns(transition, hubs.ids(), solver, rounding_threshold, threads)
+        {
             columns.push(col);
             deficits.push(deficit);
             unrounded_nnz.push(nnz);
@@ -149,43 +127,15 @@ impl HubMatrix {
         solver: &HubSolver,
         threads: usize,
     ) -> usize {
-        if ids.is_empty() {
-            return 0;
-        }
         let positions: Vec<usize> = ids
             .iter()
             .map(|&h| self.hubs.position(h).expect("recompute_columns id is not a hub"))
             .collect();
-        let threads = threads.max(1).min(ids.len());
-        let omega = self.rounding_threshold;
-        // Same slot discipline as `build`: workers pull ids off a shared
-        // counter, results land by position, so scheduling cannot change
-        // the matrix.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results = std::sync::Mutex::new(Vec::<Vec<(usize, HubColumn)>>::new());
-        rtk_sparse::WorkerPool::global().scope(|scope| {
-            for _ in 0..threads {
-                let (ids, next, results) = (&ids, &next, &results);
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= ids.len() {
-                            break;
-                        }
-                        local.push((i, compute_hub_column(transition, ids[i], solver, omega)));
-                    }
-                    results.lock().expect("hub results poisoned").push(local);
-                });
-            }
-        });
-        for chunk in results.into_inner().expect("hub results poisoned") {
-            for (i, (col, deficit, nnz)) in chunk {
-                let p = positions[i];
-                self.columns[p] = col;
-                self.deficits[p] = deficit;
-                self.unrounded_nnz[p] = nnz;
-            }
+        let columns = solve_columns(transition, ids, solver, self.rounding_threshold, threads);
+        for (p, (col, deficit, nnz)) in positions.into_iter().zip(columns) {
+            self.columns[p] = col;
+            self.deficits[p] = deficit;
+            self.unrounded_nnz[p] = nnz;
         }
         ids.len()
     }
@@ -243,28 +193,66 @@ impl HubMatrix {
 /// One computed hub column: `(rounded vector, deficit, unrounded nnz)`.
 type HubColumn = (SparseVector, f64, usize);
 
-/// Computes one hub column; returns `(rounded vector, deficit, unrounded nnz)`.
-fn compute_hub_column(
+/// Computes the columns of hubs `ids`, in order, over `threads` pool
+/// workers — the one column-solve path under [`HubMatrix::build`] and
+/// [`HubMatrix::recompute_columns`]. Power-method columns come from the
+/// blocked multi-source solver ([`proximity_from_many`], bitwise equal to a
+/// [`rtk_rwr::proximity_from`] per hub); BCA columns from one exhaustive run
+/// per hub, hubs pulled off a shared counter. Either way each column lands
+/// in its own slot, so scheduling cannot change the matrix.
+fn solve_columns(
     transition: &TransitionMatrix<'_>,
-    hub: u32,
+    ids: &[u32],
     solver: &HubSolver,
     rounding_threshold: f64,
-) -> HubColumn {
-    let mut vector = match solver {
+    threads: usize,
+) -> Vec<HubColumn> {
+    match solver {
         HubSolver::PowerMethod(params) => {
-            let (dense, _) = proximity_from(transition, hub, params);
-            SparseVector::from_dense(&dense, 0.0)
+            proximity_from_many(transition, ids, params, threads, |_, dense, _| {
+                round_column(SparseVector::from_dense(dense, 0.0), rounding_threshold)
+            })
         }
         HubSolver::Bca(params) => {
-            let mut engine = BcaEngine::new(
-                HubSet::empty(transition.node_count()),
-                *params,
-                PropagationStrategy::BatchThreshold,
-            );
-            let snap: BcaSnapshot = engine.run_from(transition, hub, &BcaStop::from_params(params));
-            snap.retained
+            let n = transition.node_count();
+            let stop = BcaStop::from_params(params);
+            let next = AtomicUsize::new(0);
+            let results = Mutex::new(Vec::<Vec<(usize, HubColumn)>>::new());
+            WorkerPool::global().scope(|scope| {
+                for _ in 0..threads.max(1).min(ids.len()) {
+                    let (next, results, stop) = (&next, &results, &stop);
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= ids.len() {
+                                break;
+                            }
+                            let mut engine = BcaEngine::new(
+                                HubSet::empty(n),
+                                *params,
+                                PropagationStrategy::BatchThreshold,
+                            );
+                            let snap = engine.run_from(transition, ids[i], stop);
+                            local.push((i, round_column(snap.retained, rounding_threshold)));
+                        }
+                        results.lock().expect("hub results poisoned").push(local);
+                    });
+                }
+            });
+            let mut slots: Vec<Option<HubColumn>> = vec![None; ids.len()];
+            for chunk in results.into_inner().expect("hub results poisoned") {
+                for (i, col) in chunk {
+                    slots[i] = Some(col);
+                }
+            }
+            slots.into_iter().map(|s| s.expect("hub column missing")).collect()
         }
-    };
+    }
+}
+
+/// Rounds a solved hub vector at `ω` and records its deficit.
+fn round_column(mut vector: SparseVector, rounding_threshold: f64) -> HubColumn {
     let unrounded = vector.nnz();
     if rounding_threshold > 0.0 {
         vector.round_below(rounding_threshold);
@@ -489,6 +477,78 @@ mod tests {
         let serial = HubMatrix::build(&t, hubs.clone(), &pm_solver(), 1e-6, 1);
         let parallel = HubMatrix::build(&t, hubs, &pm_solver(), 1e-6, 4);
         assert_eq!(serial, parallel);
+    }
+
+    /// A hub column as bits: `(entries, deficit, unrounded nnz)`.
+    type ColumnBits = (Vec<(u32, u64)>, u64, usize);
+
+    /// Hub columns the per-hub way: `proximity_from`, dropped zeros,
+    /// `round_below(ω)` and `1 − Σ` clamped at zero.
+    fn reference_columns(
+        t: &TransitionMatrix<'_>,
+        ids: &[u32],
+        params: &RwrParams,
+        omega: f64,
+    ) -> Vec<ColumnBits> {
+        ids.iter()
+            .map(|&h| {
+                let (dense, _) = rtk_rwr::proximity_from(t, h, params);
+                let mut col = SparseVector::from_dense(&dense, 0.0);
+                let unrounded = col.nnz();
+                if omega > 0.0 {
+                    col.round_below(omega);
+                }
+                let deficit = (1.0 - col.sum()).max(0.0);
+                (col.iter().map(|(i, v)| (i, v.to_bits())).collect(), deficit.to_bits(), unrounded)
+            })
+            .collect()
+    }
+
+    fn stored_columns(m: &HubMatrix, ids: &[u32]) -> Vec<ColumnBits> {
+        ids.iter()
+            .map(|&h| {
+                let p = m.hubs().position(h).unwrap();
+                let col = m.column(h).unwrap();
+                (
+                    col.iter().map(|(i, v)| (i, v.to_bits())).collect(),
+                    m.deficit(h).to_bits(),
+                    m.unrounded_nnz[p],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_and_recompute_match_per_hub_power_method_bitwise() {
+        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(300, 1_500, 8)).unwrap();
+        let hubs = HubSet::degree_based(&g, 12);
+        assert!(hubs.len() > rtk_rwr::power::LANES, "test premise: lanes refill");
+        let ids = hubs.ids().to_vec();
+        let params = RwrParams::default();
+        for t in [TransitionMatrix::new(&g), TransitionMatrix::new_kernelized(&g)] {
+            for omega in [0.0, 1e-6] {
+                let want = reference_columns(&t, &ids, &params, omega);
+                for threads in [1, 2] {
+                    let built = HubMatrix::build(&t, hubs.clone(), &pm_solver(), omega, threads);
+                    assert_eq!(stored_columns(&built, &ids), want, "build ω={omega} t={threads}");
+                    // Recompute a subset, out of hub order, into a matrix
+                    // whose columns were emptied first.
+                    let subset: Vec<u32> = ids.iter().rev().step_by(2).copied().collect();
+                    let mut m = built.clone();
+                    for &h in &subset {
+                        let p = m.hubs().position(h).unwrap();
+                        m.columns[p] = SparseVector::new();
+                        m.deficits[p] = 1.0;
+                        m.unrounded_nnz[p] = 0;
+                    }
+                    assert_eq!(
+                        m.recompute_columns(&t, &subset, &pm_solver(), threads),
+                        subset.len()
+                    );
+                    assert_eq!(m, built, "recompute ω={omega} t={threads}");
+                }
+            }
+        }
     }
 
     #[test]

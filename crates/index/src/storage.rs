@@ -16,6 +16,7 @@
 //! nodes: per node: u32 iterations, sparse r, sparse w, sparse s,
 //!        u32seq topk_indices, f64seq topk_values
 //! stats: timings, counters (see code)
+//! hub solver (version ≥ 2): u32 tag, then its parameters
 //! ```
 //!
 //! **Sharded manifest** (`RTKMANI1`, written when `S > 1`):
@@ -31,6 +32,7 @@
 //!     u64 shard_id, u64 node_lo, u64 shard_len, u64 node_count, u64 max_k
 //!     nodes of the shard's range (as above)
 //! stats (as above)
+//! hub solver (as above)
 //! ```
 //!
 //! Shard blobs are individually writable/readable ([`save_shard`] /
@@ -40,9 +42,16 @@
 //! unchanged, and every sequence decode is bounded by stream-derived sizes
 //! (node count, `max_k`, section byte counts) *before* allocating.
 //!
-//! The hub-selection policy and hub-vector solver are *not* round-tripped —
-//! they only matter during construction; a loaded index refines and queries
-//! identically. `config().hub_selection` becomes `Explicit(ids)` after load.
+//! The hub-vector solver is round-tripped (since version 2 of both
+//! formats): edge updates re-solve affected hub columns, and must use the
+//! solver that built the others, or a loaded index would drift from the
+//! live one it was saved from. Version 1 files carry no solver and load
+//! with the default, `PowerMethod(RwrParams::with_alpha(α))` — what every
+//! index used before the field existed unless built with a custom solver.
+//! `RwrParams::threads` is not stored; it never changes a column's bits.
+//! The hub-selection policy is not round-tripped: the hub *set* is pinned
+//! after construction, so `config().hub_selection` becomes `Explicit(ids)`
+//! after load.
 
 use crate::config::{HubSelection, HubSolver, IndexConfig};
 use crate::error::IndexError;
@@ -60,12 +69,12 @@ use std::path::Path;
 
 /// Magic tag of the legacy (single-shard) index format.
 pub const INDEX_MAGIC: &[u8; 8] = b"RTKINDX1";
-/// Current legacy format version.
-pub const INDEX_VERSION: u32 = 1;
+/// Current legacy format version (2: the hub solver is appended).
+pub const INDEX_VERSION: u32 = 2;
 /// Magic tag of the sharded manifest format.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"RTKMANI1";
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Current manifest format version (2: the hub solver is appended).
+pub const MANIFEST_VERSION: u32 = 2;
 /// Magic tag of one serialized shard section.
 pub const SHARD_MAGIC: &[u8; 8] = b"RTKSHRD1";
 /// Current shard section version.
@@ -98,12 +107,12 @@ pub fn load<R: Read>(reader: R) -> Result<ReverseIndex, IndexError> {
     r.read_exact(&mut magic).map_err(DecodeError::Io)?;
     match &magic {
         m if m == INDEX_MAGIC => {
-            check_version(&mut r, INDEX_VERSION, "index")?;
-            load_legacy_body(&mut r)
+            let version = check_version(&mut r, INDEX_VERSION, "index")?;
+            load_legacy_body(&mut r, version)
         }
         m if m == MANIFEST_MAGIC => {
-            check_version(&mut r, MANIFEST_VERSION, "manifest")?;
-            load_sharded_body(&mut r)
+            let version = check_version(&mut r, MANIFEST_VERSION, "manifest")?;
+            load_sharded_body(&mut r, version)
         }
         found => {
             Err(IndexError::Decode(DecodeError::BadMagic { expected: *INDEX_MAGIC, found: *found }))
@@ -111,14 +120,15 @@ pub fn load<R: Read>(reader: R) -> Result<ReverseIndex, IndexError> {
     }
 }
 
-fn check_version<R: Read>(r: &mut R, supported: u32, what: &str) -> Result<(), IndexError> {
+/// Reads the format version and rejects one newer than `supported`.
+fn check_version<R: Read>(r: &mut R, supported: u32, what: &str) -> Result<u32, IndexError> {
     let version = codec::read_u32(r).map_err(DecodeError::Io)?;
     if version > supported {
         return Err(corrupt(format!(
             "{what} format version {version} is newer than supported {supported}"
         )));
     }
-    Ok(())
+    Ok(version)
 }
 
 // ---------------------------------------------------------------------------
@@ -244,24 +254,102 @@ fn write_bca_and_rounding<W: Write>(
     bca: &BcaParams,
     rounding_threshold: f64,
 ) -> std::io::Result<()> {
-    codec::write_f64(w, bca.alpha)?;
-    codec::write_f64(w, bca.propagation_threshold)?;
-    codec::write_f64(w, bca.residue_threshold)?;
-    codec::write_u32(w, bca.max_iterations)?;
+    write_bca(w, bca)?;
     codec::write_f64(w, rounding_threshold)
 }
 
+fn write_bca<W: Write>(w: &mut W, bca: &BcaParams) -> std::io::Result<()> {
+    codec::write_f64(w, bca.alpha)?;
+    codec::write_f64(w, bca.propagation_threshold)?;
+    codec::write_f64(w, bca.residue_threshold)?;
+    codec::write_u32(w, bca.max_iterations)
+}
+
 fn read_bca_and_rounding<R: Read>(r: &mut R) -> Result<(BcaParams, f64), IndexError> {
+    let bca = read_bca(r)?;
+    let rounding_threshold = codec::read_f64(r).map_err(DecodeError::Io)?;
+    Ok((bca, rounding_threshold))
+}
+
+fn read_bca<R: Read>(r: &mut R) -> Result<BcaParams, IndexError> {
     let alpha = codec::read_f64(r).map_err(DecodeError::Io)?;
     let propagation_threshold = codec::read_f64(r).map_err(DecodeError::Io)?;
     let residue_threshold = codec::read_f64(r).map_err(DecodeError::Io)?;
     let max_iterations = codec::read_u32(r).map_err(DecodeError::Io)?;
-    let rounding_threshold = codec::read_f64(r).map_err(DecodeError::Io)?;
-    Ok((
-        BcaParams { alpha, propagation_threshold, residue_threshold, max_iterations },
-        rounding_threshold,
-    ))
+    Ok(BcaParams { alpha, propagation_threshold, residue_threshold, max_iterations })
 }
+
+/// Hub-solver tag of [`HubSolver::PowerMethod`] (format version ≥ 2).
+const SOLVER_POWER_METHOD: u32 = 0;
+/// Hub-solver tag of [`HubSolver::Bca`] (format version ≥ 2).
+const SOLVER_BCA: u32 = 1;
+
+/// The hub solver, appended after the stats block since format version 2.
+fn write_hub_solver<W: Write>(w: &mut W, solver: &HubSolver) -> std::io::Result<()> {
+    match solver {
+        HubSolver::PowerMethod(p) => {
+            codec::write_u32(w, SOLVER_POWER_METHOD)?;
+            codec::write_f64(w, p.alpha)?;
+            codec::write_f64(w, p.epsilon)?;
+            codec::write_u32(w, p.max_iterations)
+        }
+        HubSolver::Bca(p) => {
+            codec::write_u32(w, SOLVER_BCA)?;
+            write_bca(w, p)
+        }
+    }
+}
+
+/// Reads what [`write_hub_solver`] wrote. A `version` 1 file has no solver
+/// and gets the default power method at the index's `α`.
+fn read_hub_solver<R: Read>(r: &mut R, version: u32, alpha: f64) -> Result<HubSolver, IndexError> {
+    if version < 2 {
+        return Ok(HubSolver::PowerMethod(RwrParams::with_alpha(alpha)));
+    }
+    let solver = match codec::read_u32(r).map_err(DecodeError::Io)? {
+        SOLVER_POWER_METHOD => {
+            let alpha = codec::read_f64(r).map_err(DecodeError::Io)?;
+            let epsilon = codec::read_f64(r).map_err(DecodeError::Io)?;
+            let max_iterations = codec::read_u32(r).map_err(DecodeError::Io)?;
+            if !(epsilon > 0.0 && epsilon.is_finite()) || max_iterations == 0 {
+                return Err(corrupt(format!(
+                    "power-method hub solver with epsilon {epsilon}, {max_iterations} iterations"
+                )));
+            }
+            HubSolver::PowerMethod(RwrParams {
+                alpha,
+                epsilon,
+                max_iterations,
+                ..RwrParams::default()
+            })
+        }
+        SOLVER_BCA => {
+            let p = read_bca(r)?;
+            if !(p.propagation_threshold > 0.0 && p.residue_threshold >= 0.0)
+                || p.max_iterations == 0
+            {
+                return Err(corrupt(format!("invalid BCA hub solver parameters {p:?}")));
+            }
+            HubSolver::Bca(p)
+        }
+        tag => return Err(corrupt(format!("unknown hub solver tag {tag}"))),
+    };
+    let solver_alpha = match solver {
+        HubSolver::PowerMethod(p) => p.alpha,
+        HubSolver::Bca(p) => p.alpha,
+    };
+    // Bitwise, not within IndexConfig::validate's tolerance: the writer
+    // stores what the build used, and the builder keeps the two in step.
+    if solver_alpha.to_bits() != alpha.to_bits() {
+        return Err(corrupt(format!(
+            "hub solver alpha {solver_alpha} differs from bca alpha {alpha}"
+        )));
+    }
+    Ok(solver)
+}
+
+/// Bytes of the stats block: four `f64` timings, three `u64` counters.
+const STATS_BYTES: usize = 4 * 8 + 3 * 8;
 
 fn write_stats<W: Write>(w: &mut W, s: &IndexStats) -> std::io::Result<()> {
     codec::write_f64(w, s.hub_selection_seconds)?;
@@ -317,6 +405,7 @@ fn read_stats<R: Read>(
 fn loaded_config(
     max_k: usize,
     bca: BcaParams,
+    hub_solver: HubSolver,
     hub_matrix: &HubMatrix,
     rounding_threshold: f64,
     threads: usize,
@@ -326,7 +415,7 @@ fn loaded_config(
         max_k,
         bca,
         hub_selection: HubSelection::Explicit(hub_matrix.hubs().ids().to_vec()),
-        hub_solver: HubSolver::PowerMethod(RwrParams::with_alpha(bca.alpha)),
+        hub_solver,
         rounding_threshold,
         threads,
         shards,
@@ -351,11 +440,12 @@ pub fn save_legacy<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), Inde
         write_node_state(&mut w, state)?;
     }
     write_stats(&mut w, index.stats())?;
+    write_hub_solver(&mut w, &index.config().hub_solver)?;
     w.flush()?;
     Ok(())
 }
 
-fn load_legacy_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
+fn load_legacy_body<R: Read>(r: &mut R, version: u32) -> Result<ReverseIndex, IndexError> {
     // Stream-derived bounds: every sequence that follows is sized by the
     // node count (sparse vectors, hub ids) or by `max_k` (top-K lists), so
     // corrupt length prefixes are rejected before any allocation.
@@ -381,8 +471,10 @@ fn load_legacy_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
     let state_refs: Vec<&NodeState> = states.iter().collect();
     let stats = read_stats(r, &state_refs, &hub_matrix, n)?;
     drop(state_refs);
+    let hub_solver = read_hub_solver(r, version, bca.alpha)?;
 
-    let config = loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, 1);
+    let config =
+        loaded_config(max_k, bca, hub_solver, &hub_matrix, rounding_threshold, stats.threads, 1);
     Ok(ReverseIndex::from_parts(config, hub_matrix, states, stats))
 }
 
@@ -472,6 +564,7 @@ pub fn save_sharded<W: Write>(index: &ReverseIndex, writer: W) -> Result<(), Ind
         save_shard(shard, index.node_count(), index.max_k(), &mut w)?;
     }
     write_stats(&mut w, index.stats())?;
+    write_hub_solver(&mut w, &index.config().hub_solver)?;
     w.flush()?;
     Ok(())
 }
@@ -494,7 +587,7 @@ impl Write for CountingWriter {
     }
 }
 
-fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
+fn load_sharded_body<R: Read>(r: &mut R, version: u32) -> Result<ReverseIndex, IndexError> {
     let n = codec::check_len(
         codec::read_u64(r).map_err(DecodeError::Io)?,
         codec::MAX_SEQ_LEN,
@@ -559,9 +652,17 @@ fn load_sharded_body<R: Read>(r: &mut R) -> Result<ReverseIndex, IndexError> {
     let state_refs: Vec<&NodeState> = shards.iter().flat_map(|s| s.states().iter()).collect();
     let stats = read_stats(r, &state_refs, &hub_matrix, n)?;
     drop(state_refs);
+    let hub_solver = read_hub_solver(r, version, bca.alpha)?;
 
-    let config =
-        loaded_config(max_k, bca, &hub_matrix, rounding_threshold, stats.threads, shard_count);
+    let config = loaded_config(
+        max_k,
+        bca,
+        hub_solver,
+        &hub_matrix,
+        rounding_threshold,
+        stats.threads,
+        shard_count,
+    );
     Ok(ReverseIndex::from_shards(config, hub_matrix, shards, shard_map, stats))
 }
 
@@ -629,8 +730,8 @@ pub fn load_shard_slice<R: Read>(reader: R, shard_id: usize) -> Result<ShardSlic
     r.read_exact(&mut magic).map_err(DecodeError::Io)?;
     match &magic {
         m if m == MANIFEST_MAGIC => {
-            check_version(&mut r, MANIFEST_VERSION, "manifest")?;
-            load_shard_slice_body(&mut r, shard_id)
+            let version = check_version(&mut r, MANIFEST_VERSION, "manifest")?;
+            load_shard_slice_body(&mut r, version, shard_id)
         }
         m if m == INDEX_MAGIC => {
             if shard_id != 0 {
@@ -638,8 +739,8 @@ pub fn load_shard_slice<R: Read>(reader: R, shard_id: usize) -> Result<ShardSlic
                     "legacy single-shard snapshot has only shard 0, requested {shard_id}"
                 )));
             }
-            check_version(&mut r, INDEX_VERSION, "index")?;
-            let index = load_legacy_body(&mut r)?;
+            let version = check_version(&mut r, INDEX_VERSION, "index")?;
+            let index = load_legacy_body(&mut r, version)?;
             ShardSlice::from_index(&index, 0)
         }
         found => Err(IndexError::Decode(DecodeError::BadMagic {
@@ -657,7 +758,11 @@ pub fn load_shard_slice_path<P: AsRef<Path>>(
     load_shard_slice(std::fs::File::open(path)?, shard_id)
 }
 
-fn load_shard_slice_body<R: Read>(r: &mut R, shard_id: usize) -> Result<ShardSlice, IndexError> {
+fn load_shard_slice_body<R: Read>(
+    r: &mut R,
+    version: u32,
+    shard_id: usize,
+) -> Result<ShardSlice, IndexError> {
     let n = codec::check_len(
         codec::read_u64(r).map_err(DecodeError::Io)?,
         codec::MAX_SEQ_LEN,
@@ -724,7 +829,12 @@ fn load_shard_slice_body<R: Read>(r: &mut R, shard_id: usize) -> Result<ShardSli
         }
     }
     let shard = wanted.expect("shard_id checked against shard_count above");
-    let config = loaded_config(max_k, bca, &hub_matrix, rounding_threshold, 1, shard_count);
+    // The stats block is not needed here; the hub solver follows it.
+    let mut stats = [0u8; STATS_BYTES];
+    r.read_exact(&mut stats).map_err(DecodeError::Io)?;
+    let hub_solver = read_hub_solver(r, version, bca.alpha)?;
+    let config =
+        loaded_config(max_k, bca, hub_solver, &hub_matrix, rounding_threshold, 1, shard_count);
     Ok(ShardSlice { config, hub_matrix, shard_map, shard })
 }
 
@@ -790,6 +900,7 @@ pub fn stitch<R: Read>(donor: &ReverseIndex, sections: Vec<R>) -> Result<Reverse
     let config = loaded_config(
         max_k,
         donor.config().bca,
+        donor.config().hub_solver,
         &hub_matrix,
         donor.config().rounding_threshold,
         stats.threads,
@@ -1074,6 +1185,118 @@ mod tests {
             assert_eq!(loaded.state(u), index.state(u), "node {u}");
         }
         assert_eq!(loaded.stats().threads, index.stats().threads);
+    }
+
+    /// Two non-default hub solvers, both at the sample config's `α`.
+    fn custom_solvers() -> [HubSolver; 2] {
+        [
+            HubSolver::PowerMethod(RwrParams {
+                epsilon: 1e-6,
+                max_iterations: 400,
+                ..Default::default()
+            }),
+            HubSolver::Bca(BcaParams {
+                propagation_threshold: 1e-7,
+                residue_threshold: 1e-3,
+                max_iterations: 5_000,
+                ..Default::default()
+            }),
+        ]
+    }
+
+    #[test]
+    fn hub_solver_round_trips_in_every_layout() {
+        let (g, config) = build_sample();
+        let t = TransitionMatrix::new(&g);
+        for solver in custom_solvers() {
+            for shards in [1usize, 2] {
+                let config = IndexConfig { hub_solver: solver, shards, ..config.clone() };
+                let index = ReverseIndex::build(&t, config).unwrap();
+                let mut buf = Vec::new();
+                save(&index, &mut buf).unwrap();
+                let loaded = load(Cursor::new(buf.clone())).unwrap();
+                assert_eq!(loaded.config().hub_solver, solver, "shards={shards}");
+                let slice = load_shard_slice(Cursor::new(buf), 0).unwrap();
+                assert_eq!(slice.config.hub_solver, solver, "slice, shards={shards}");
+            }
+        }
+    }
+
+    /// A `save` of `index` and the byte offset of its hub-solver block,
+    /// the file's tail.
+    fn saved_with_solver_block(index: &ReverseIndex) -> (Vec<u8>, usize) {
+        let mut buf = Vec::new();
+        save(index, &mut buf).unwrap();
+        let len = match index.config().hub_solver {
+            HubSolver::PowerMethod(_) => 4 + 8 + 8 + 4,
+            HubSolver::Bca(_) => 4 + 3 * 8 + 4,
+        };
+        let start = buf.len() - len;
+        (buf, start)
+    }
+
+    /// The version 1 bytes of `index`: its version 2 bytes without the
+    /// hub-solver block, version field set to 1.
+    fn v1_bytes(index: &ReverseIndex) -> Vec<u8> {
+        let (mut buf, start) = saved_with_solver_block(index);
+        buf.truncate(start);
+        buf[8..12].copy_from_slice(&1u32.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn version_1_files_load_with_the_default_solver() {
+        let (g, config) = build_sample();
+        let t = TransitionMatrix::new(&g);
+        for shards in [1usize, 3] {
+            let index = ReverseIndex::build(&t, IndexConfig { shards, ..config.clone() }).unwrap();
+            let loaded = load(Cursor::new(v1_bytes(&index))).unwrap();
+            assert_eq!(
+                loaded.config().hub_solver,
+                HubSolver::PowerMethod(RwrParams::with_alpha(config.bca.alpha))
+            );
+            for u in 0..6u32 {
+                assert_eq!(loaded.state(u), index.state(u), "shards={shards} node {u}");
+            }
+            let slice = load_shard_slice(Cursor::new(v1_bytes(&index)), 0).unwrap();
+            assert_eq!(slice.config.hub_solver, loaded.config().hub_solver);
+            // Re-saved, a loaded v1 file is the current version.
+            let mut resaved = Vec::new();
+            save(&loaded, &mut resaved).unwrap();
+            let mut fresh = Vec::new();
+            save(&index, &mut fresh).unwrap();
+            assert_eq!(resaved, fresh, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn damaged_solver_fields_are_rejected_without_panic() {
+        let (g, config) = build_sample();
+        let t = TransitionMatrix::new(&g);
+        for solver in custom_solvers() {
+            for shards in [1usize, 2] {
+                let config = IndexConfig { hub_solver: solver, shards, ..config.clone() };
+                let index = ReverseIndex::build(&t, config).unwrap();
+                let (buf, start) = saved_with_solver_block(&index);
+                let len = buf.len() - start;
+                for cut in start..start + len {
+                    assert!(load(Cursor::new(&buf[..cut])).is_err(), "cut at {cut}");
+                    assert!(load_shard_slice(Cursor::new(&buf[..cut]), 0).is_err(), "cut {cut}");
+                }
+                let mut bad_tag = buf.clone();
+                bad_tag[start..start + 4].copy_from_slice(&7u32.to_le_bytes());
+                assert!(load(Cursor::new(bad_tag)).is_err());
+                // The solver's α must be the index's α.
+                let mut bad_alpha = buf.clone();
+                bad_alpha[start + 4..start + 12].copy_from_slice(&0.5f64.to_le_bytes());
+                assert!(load(Cursor::new(bad_alpha)).is_err());
+                // A zero iteration cap would panic the next hub re-solve.
+                let mut bad_cap = buf.clone();
+                let cap_at = start + len - 4;
+                bad_cap[cap_at..cap_at + 4].copy_from_slice(&0u32.to_le_bytes());
+                assert!(load(Cursor::new(bad_cap)).is_err());
+            }
+        }
     }
 
     #[test]

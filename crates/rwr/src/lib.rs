@@ -33,4 +33,4 @@ pub use bca::{BcaEngine, BcaSnapshot, BcaStop, PropagationStrategy};
 pub use hubs::HubSet;
 pub use params::{BcaParams, RwrParams};
 pub use pmpn::proximity_to;
-pub use power::{pagerank, personalized_pagerank, proximity_from};
+pub use power::{pagerank, personalized_pagerank, proximity_from, proximity_from_many};

@@ -11,10 +11,12 @@ pub struct RwrParams {
     /// Hard iteration cap (safety net; Thm. 2(c) bounds the needed count by
     /// `log(ε/α)/log(1−α)` ≈ 130 for the defaults).
     pub max_iterations: u32,
-    /// Worker threads for each sparse matrix–vector product (`0` = all
-    /// cores). Results are bitwise identical for any value; default 1 so
-    /// embedded solves (e.g. per-hub solves inside an already-parallel index
-    /// build) do not oversubscribe.
+    /// Worker threads for each sparse matrix–vector product of a
+    /// single-source solve (`0` = all cores). Results are bitwise identical
+    /// for any value; default 1 so embedded solves do not oversubscribe.
+    /// Not read by [`crate::power::proximity_from_many`] — and so not for
+    /// hub-matrix columns, which it solves — whose parallelism is across
+    /// sources instead.
     pub threads: usize,
 }
 

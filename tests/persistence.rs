@@ -114,3 +114,44 @@ fn graph_files_round_trip_through_facade_types() {
     assert_eq!(back, graph);
     std::fs::remove_file(&path).ok();
 }
+
+/// The hub solver is part of the snapshot: a loaded engine re-solves the
+/// hub columns an edit touches with the solver that built the others, so
+/// save → load → edits ends where the live engine applying the same edits
+/// does, byte for byte. `ω = 0`, the standing rule for update byte
+/// equality (the rounded-away entry count is stored as one aggregate).
+#[test]
+fn custom_hub_solvers_survive_save_load_and_edits() {
+    let solvers = [
+        HubSolver::PowerMethod(RwrParams { epsilon: 1e-6, ..RwrParams::default() }),
+        HubSolver::Bca(BcaParams {
+            propagation_threshold: 1e-7,
+            residue_threshold: 1e-3,
+            ..BcaParams::default()
+        }),
+        HubSolver::PowerMethod(RwrParams::default()),
+    ];
+    let edits = [(3u32, 97u32), (41, 5), (120, 66)];
+    for solver in solvers {
+        let config = IndexConfig {
+            hub_solver: solver,
+            rounding_threshold: 0.0,
+            threads: 2,
+            ..sample_config()
+        };
+        let mut live =
+            ReverseTopkEngine::builder(sample_graph()).index_config(config).build().unwrap();
+        let mut bytes = Vec::new();
+        live.save(&mut bytes).unwrap();
+        let mut loaded = ReverseTopkEngine::load(bytes.as_slice()).unwrap();
+        assert_eq!(loaded.index().config().hub_solver, solver);
+        let mut hubs_touched = 0;
+        for &(from, to) in &edits {
+            let effect = live.add_edge(NodeId(from), NodeId(to), 1.0).unwrap();
+            loaded.add_edge(NodeId(from), NodeId(to), 1.0).unwrap();
+            hubs_touched += effect.recomputed_hubs;
+        }
+        assert!(hubs_touched > 0, "test premise: the edits re-solve hub columns");
+        assert_eq!(loaded.index_digest(), live.index_digest(), "{solver:?}");
+    }
+}
