@@ -38,8 +38,8 @@ pub mod model;
 pub mod service;
 
 pub use model::{
-    ApproxParams, EngineInfo, KindLatency, Request, RequestKind, Response, StatsSnapshot,
-    WireApproxStats, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+    EngineInfo, KindLatency, Request, RequestKind, Response, StatsSnapshot, WireQueryResult,
+    WireShardResult, WireTopk, WireUpdateResult,
 };
 pub use rtk_obs::TraceSpan;
 pub use service::{dispatch_request, to_wire, RtkService, ServiceError, ServiceResult};

@@ -7,8 +7,6 @@
 //! about bytes lives here so local engines, remote clients, and routers
 //! can share one vocabulary through [`crate::service::RtkService`].
 
-pub use rtk_core::query::ApproxParams;
-
 use rtk_obs::TraceSpan;
 use rtk_sparse::codec::{self, DecodeError};
 use std::io::{Read, Write};
@@ -56,10 +54,6 @@ pub enum Request {
         /// Tracing is observational only: a traced and an untraced run of
         /// the same query return bitwise-identical results.
         trace: bool,
-        /// Run the approximate screen with this error budget (wire v8).
-        /// `None` (or an inactive ε) answers exactly; the encoded frame of
-        /// an absent knob is byte-identical to its wire-v7 shape.
-        approx: Option<ApproxParams>,
     },
     /// Forward top-k proximity search from `u`.
     Topk {
@@ -102,10 +96,6 @@ pub enum Request {
         /// Attach the shard's span tree to the partial answer (wire v6) so
         /// the router can stitch it into the full query trace.
         trace: bool,
-        /// Run the approximate screen with this error budget (wire v8),
-        /// forwarded verbatim by the router so every shard classifies
-        /// against the identical ε / walk budget / seed.
-        approx: Option<ApproxParams>,
         /// A precomputed PMPN vector (`p_u(q)` for every global node u),
         /// shipped by the router so only one backend pays the solve
         /// (wire v8). Every backend solves the identical full-graph
@@ -113,7 +103,7 @@ pub enum Request {
         pmpn: Option<Vec<f64>>,
         /// Ask the backend to return its locally solved PMPN vector in the
         /// answer so the router can ship it to the remaining shards
-        /// (wire v8). Ignored in approx mode (no exact solve runs).
+        /// (wire v8).
         want_pmpn: bool,
     },
     /// Insert the edge `from → to` into the served graph, or accumulate
@@ -218,20 +208,6 @@ impl Request {
     }
 }
 
-/// How the approximate screen classified a query's candidates (wire v8).
-/// Attached to an answer only when the query ran with an active
-/// [`ApproxParams`]; exact answers carry nothing and cost zero bytes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireApproxStats {
-    /// Candidates decided from the bidirectional estimate (no exact
-    /// refinement ran to completion for them).
-    pub estimated: u64,
-    /// Candidates inside the ε-band that fell back to exact refinement.
-    pub exact_refined: u64,
-    /// Forward walks simulated by the estimator.
-    pub walks: u64,
-}
-
 /// One reverse top-k answer with its server-side diagnostics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireQueryResult {
@@ -257,9 +233,6 @@ pub struct WireQueryResult {
     /// tracing (wire v6). `None` costs zero bytes on the wire; batch
     /// answers never carry traces.
     pub trace: Option<TraceSpan>,
-    /// Approximate-screen counters, present only when the query ran with
-    /// an active approx knob (wire v8).
-    pub approx: Option<WireApproxStats>,
 }
 
 /// One backend's shard-scoped slice of a reverse top-k answer.
@@ -275,7 +248,7 @@ pub struct WireShardResult {
     /// shard's own counter statistics.
     pub result: WireQueryResult,
     /// The backend's locally solved PMPN vector, returned only when the
-    /// request set `want_pmpn` and the exact solve actually ran (wire v8).
+    /// request set `want_pmpn` (wire v8).
     pub pmpn: Option<Vec<f64>>,
 }
 
@@ -472,17 +445,6 @@ pub struct StatsSnapshot {
     /// Latency summary per request kind, indexed by [`RequestKind`]
     /// (wire v6). The aggregate fields above merge all kinds.
     pub kind_latency: [KindLatency; REQUEST_KINDS],
-    /// Reverse top-k queries answered through the approximate screen
-    /// (wire v8; part of the versioned stats tail).
-    pub approx_queries: u64,
-    /// Candidates decided from bidirectional estimates across all approx
-    /// queries (wire v8).
-    pub approx_estimated: u64,
-    /// Candidates that fell back to exact refinement inside the ε-band
-    /// across all approx queries (wire v8).
-    pub approx_exact_refined: u64,
-    /// Forward walks simulated by approx queries (wire v8).
-    pub approx_walks: u64,
 }
 
 impl StatsSnapshot {
@@ -527,10 +489,6 @@ impl StatsSnapshot {
             shard_nodes,
             shard_bytes,
             kind_latency: [KindLatency::default(); REQUEST_KINDS],
-            approx_queries: 0,
-            approx_estimated: 0,
-            approx_exact_refined: 0,
-            approx_walks: 0,
         }
     }
 
@@ -617,18 +575,6 @@ impl StatsSnapshot {
             field("shard_nodes", u64s(&self.shard_nodes)),
             field("shard_bytes", u64s(&self.shard_bytes)),
             field("kind_latency", Json::Obj(kinds)),
-            // Wire-v8 approximate-serving counters: appended after every
-            // pre-existing key so v7-era consumers indexing by key (or by
-            // prefix) keep parsing unchanged.
-            field(
-                "approx",
-                Json::Obj(vec![
-                    field("queries", Json::U64(self.approx_queries)),
-                    field("estimated", Json::U64(self.approx_estimated)),
-                    field("exact_refined", Json::U64(self.approx_exact_refined)),
-                    field("walks", Json::U64(self.approx_walks)),
-                ]),
-            ),
         ])
     }
 
@@ -695,15 +641,6 @@ impl StatsSnapshot {
                 codec::write_f64(w, v)?;
             }
         }
-        // Versioned tail (wire v8): new counters are *appended*, never
-        // spliced into the fixed prefix, so a parser written against the
-        // v7 layout decodes everything above and simply stops early. The
-        // tail declares its own version so a future v9 can extend it again.
-        codec::write_u64(w, STATS_TAIL_V1)?;
-        codec::write_u64(w, self.approx_queries)?;
-        codec::write_u64(w, self.approx_estimated)?;
-        codec::write_u64(w, self.approx_exact_refined)?;
-        codec::write_u64(w, self.approx_walks)?;
         Ok(())
     }
 
@@ -749,10 +686,6 @@ impl StatsSnapshot {
             shard_nodes: Vec::new(),
             shard_bytes: Vec::new(),
             kind_latency: [KindLatency::default(); REQUEST_KINDS],
-            approx_queries: 0,
-            approx_estimated: 0,
-            approx_exact_refined: 0,
-            approx_walks: 0,
         };
         let shards = codec::check_len(codec::read_u64(r)?, max_shards, "shard count")?;
         snap.shard_nodes.reserve(shards.min(1 << 20));
@@ -777,46 +710,8 @@ impl StatsSnapshot {
                 max_seconds: codec::read_f64(r)?,
             };
         }
-        // Versioned tail: absent on a v7-era snapshot (counters stay
-        // zero), otherwise a tail version stamp followed by its counters.
-        match read_u64_or_eof(r)? {
-            None => {}
-            Some(STATS_TAIL_V1) => {
-                snap.approx_queries = codec::read_u64(r)?;
-                snap.approx_estimated = codec::read_u64(r)?;
-                snap.approx_exact_refined = codec::read_u64(r)?;
-                snap.approx_walks = codec::read_u64(r)?;
-            }
-            Some(v) => {
-                return Err(DecodeError::Corrupt(format!(
-                    "stats snapshot tail declares unknown version {v}"
-                )));
-            }
-        }
         Ok(snap)
     }
-}
-
-/// Version stamp of the first stats-snapshot tail (the wire-v8 approx
-/// counters). Future tails bump this and append after the v1 fields.
-pub const STATS_TAIL_V1: u64 = 1;
-
-/// Reads one `u64`, mapping a clean end-of-stream (zero bytes available)
-/// to `None` — how the decoder distinguishes "snapshot has no tail" from
-/// a tail truncated mid-field, which stays an error.
-fn read_u64_or_eof<R: Read>(r: &mut R) -> Result<Option<u64>, DecodeError> {
-    let mut buf = [0u8; 8];
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(DecodeError::Corrupt("stats snapshot tail truncated".to_string())),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(DecodeError::Io(e)),
-        }
-    }
-    Ok(Some(u64::from_le_bytes(buf)))
 }
 
 #[cfg(test)]
@@ -833,7 +728,6 @@ mod tests {
             k: 1,
             update: false,
             trace: false,
-            approx: None,
             pmpn: None,
             want_pmpn: false,
         };
@@ -894,62 +788,10 @@ mod tests {
         assert_eq!(back.kind_latency[1].count, 7);
 
         // A snapshot claiming the wrong number of kinds is corrupt, not
-        // silently misaligned. The v8 tail (version stamp + 4 counters)
-        // sits after the kind records.
-        let tail_bytes = 8 * 5;
-        let kinds_at = buf.len() - tail_bytes - 8 * (1 + REQUEST_KINDS * 6);
+        // silently misaligned. The kind records end the snapshot.
+        let kinds_at = buf.len() - 8 * (1 + REQUEST_KINDS * 6);
         buf[kinds_at..kinds_at + 8].copy_from_slice(&9u64.to_le_bytes());
         let err = StatsSnapshot::decode(&mut Cursor::new(buf), 4).unwrap_err();
         assert!(matches!(err, DecodeError::Corrupt(_)), "{err:?}");
-    }
-
-    #[test]
-    fn approx_tail_round_trips_and_stays_backward_compatible() {
-        let info = EngineInfo {
-            nodes: 10,
-            edges: 20,
-            max_k: 3,
-            workers: 2,
-            shard_lo: 0,
-            shard_hi: 10,
-            index_digest: 7,
-        };
-        let mut snap = StatsSnapshot::local(info, vec![10], vec![128]);
-        snap.approx_queries = 5;
-        snap.approx_estimated = 40;
-        snap.approx_exact_refined = 3;
-        snap.approx_walks = 1280;
-        let mut buf = Vec::new();
-        snap.encode(&mut buf).unwrap();
-        let back = StatsSnapshot::decode(&mut Cursor::new(buf.clone()), 4).unwrap();
-        assert_eq!(back, snap);
-
-        // A v7-era snapshot — same bytes with the tail chopped off —
-        // still decodes, with the approx counters reading zero.
-        buf.truncate(buf.len() - 8 * 5);
-        let legacy = StatsSnapshot::decode(&mut Cursor::new(buf.clone()), 4).unwrap();
-        assert_eq!(legacy.approx_queries, 0);
-        assert_eq!(legacy.approx_walks, 0);
-        assert_eq!(legacy.reverse_topk, snap.reverse_topk);
-
-        // A truncated tail (some but not all counters) is corrupt.
-        let mut cut = Vec::new();
-        snap.encode(&mut cut).unwrap();
-        cut.truncate(cut.len() - 8);
-        let err = StatsSnapshot::decode(&mut Cursor::new(cut), 4).unwrap_err();
-        assert!(matches!(err, DecodeError::Io(_)), "{err:?}");
-
-        // An unknown tail version is corrupt, not silently misread.
-        let mut bad = Vec::new();
-        snap.encode(&mut bad).unwrap();
-        let tail_at = bad.len() - 8 * 5;
-        bad[tail_at..tail_at + 8].copy_from_slice(&99u64.to_le_bytes());
-        let err = StatsSnapshot::decode(&mut Cursor::new(bad), 4).unwrap_err();
-        assert!(matches!(err, DecodeError::Corrupt(_)), "{err:?}");
-
-        // JSON exposes the tail as one nested object.
-        let json = snap.to_json().render();
-        assert!(json.contains("\"approx\""), "{json}");
-        assert!(json.contains("\"walks\":1280"), "{json}");
     }
 }

@@ -18,11 +18,11 @@
 //! so the request enum is matched in exactly one place outside the codec.
 
 use crate::model::{
-    EngineInfo, Request, RequestKind, Response, StatsSnapshot, WireApproxStats, WireQueryResult,
-    WireShardResult, WireTopk, WireUpdateResult, STATUS_ENGINE_ERROR,
+    EngineInfo, Request, RequestKind, Response, StatsSnapshot, WireQueryResult, WireShardResult,
+    WireTopk, WireUpdateResult, STATUS_ENGINE_ERROR,
 };
 use rtk_core::graph::NodeId;
-use rtk_core::query::{ApproxParams, QueryOptions, QueryResult};
+use rtk_core::query::{QueryOptions, QueryResult};
 use rtk_core::{ReverseTopkEngine, ShardEngine};
 
 /// What a service call can fail with.
@@ -79,25 +79,6 @@ pub trait RtkService {
         self.reverse_topk(q, k, update)
     }
 
-    /// Like [`reverse_topk`](Self::reverse_topk), but answers through the
-    /// approximate screen with the given error budget (wire v8): the node
-    /// set is guaranteed correct for every node farther than ε from its
-    /// top-k decision boundary, and the reported proximities are the
-    /// bidirectional estimates (within ε/2 of the truth). Services that
-    /// cannot honor the contract must refuse, never silently degrade.
-    fn reverse_topk_approx(
-        &mut self,
-        _q: u32,
-        _k: u32,
-        _update: bool,
-        _trace: bool,
-        _approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        Err(ServiceError::Unsupported(
-            "approximate serving is not supported by this service flavor".to_string(),
-        ))
-    }
-
     /// The shard-scoped slice of one reverse top-k query. Only shard
     /// backends answer it; everything else reports `Unsupported`.
     fn shard_reverse_topk(
@@ -122,27 +103,23 @@ pub trait RtkService {
         self.shard_reverse_topk(q, k, update)
     }
 
-    /// The full wire-v8 shard query surface: the optional approx knob, an
-    /// optional precomputed PMPN vector to screen against, and `want_pmpn`
-    /// asking the locally solved vector back. The default delegates plain
-    /// calls to the v7 methods and refuses anything it cannot honor — a
-    /// service must never accept an approx knob or a shipped vector and
-    /// silently ignore it.
-    #[allow(clippy::too_many_arguments)]
+    /// The full shard query surface: an optional precomputed PMPN vector
+    /// to screen against, and `want_pmpn` asking the locally solved vector
+    /// back (wire v8). The default delegates plain calls to the v7 methods
+    /// and refuses anything it cannot honor — a service must never accept
+    /// a shipped vector and silently ignore it.
     fn shard_reverse_topk_ext(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        if approx.is_some() || pmpn.is_some() || want_pmpn {
+        if pmpn.is_some() || want_pmpn {
             return Err(ServiceError::Unsupported(
-                "wire-v8 shard query extensions are not supported by this service flavor"
-                    .to_string(),
+                "PMPN shipping is not supported by this service flavor".to_string(),
             ));
         }
         if trace {
@@ -198,21 +175,21 @@ pub fn dispatch_request<S: RtkService + ?Sized>(
     let kind = request.kind();
     let result = match request {
         Request::Ping => svc.ping().map(|()| Response::Pong),
-        Request::ReverseTopk { q, k, update, trace, approx } => match approx {
-            Some(a) => svc.reverse_topk_approx(q, k, update, trace, a),
-            None if trace => svc.reverse_topk_traced(q, k, update),
-            None => svc.reverse_topk(q, k, update),
+        Request::ReverseTopk { q, k, update, trace } => if trace {
+            svc.reverse_topk_traced(q, k, update)
+        } else {
+            svc.reverse_topk(q, k, update)
         }
         .map(Response::ReverseTopk),
-        Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn } => {
-            if approx.is_none() && pmpn.is_none() && !want_pmpn {
+        Request::ShardReverseTopk { q, k, update, trace, pmpn, want_pmpn } => {
+            if pmpn.is_none() && !want_pmpn {
                 if trace {
                     svc.shard_reverse_topk_traced(q, k, update)
                 } else {
                     svc.shard_reverse_topk(q, k, update)
                 }
             } else {
-                svc.shard_reverse_topk_ext(q, k, update, trace, approx, pmpn.as_deref(), want_pmpn)
+                svc.shard_reverse_topk_ext(q, k, update, trace, pmpn.as_deref(), want_pmpn)
             }
             .map(Response::ShardReverseTopk)
         }
@@ -231,9 +208,7 @@ pub fn dispatch_request<S: RtkService + ?Sized>(
     (kind, response)
 }
 
-/// Converts an engine-layer [`QueryResult`] into its wire shape. The
-/// approx counter block rides along automatically whenever the query ran
-/// through the approximate screen.
+/// Converts an engine-layer [`QueryResult`] into its wire shape.
 pub fn to_wire(r: &QueryResult, server_seconds: f64) -> WireQueryResult {
     let s = r.stats();
     WireQueryResult {
@@ -247,11 +222,6 @@ pub fn to_wire(r: &QueryResult, server_seconds: f64) -> WireQueryResult {
         refine_iterations: s.refine_iterations,
         server_seconds,
         trace: None,
-        approx: s.approx_active.then_some(WireApproxStats {
-            estimated: s.approx_estimated,
-            exact_refined: s.approx_exact_refined,
-            walks: s.approx_walks,
-        }),
     }
 }
 
@@ -295,24 +265,6 @@ impl RtkService for ReverseTopkEngine {
         // records for every query — tracing adds no timing syscalls and
         // cannot change the answer.
         wire.trace = Some(stats.to_trace("engine:reverse_topk"));
-        Ok(wire)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        let opts = QueryOptions { update_index: update, approx: Some(approx), ..*self.options() };
-        let result = self.query_with(NodeId(q), k as usize, &opts).map_err(engine_err)?;
-        let stats = *result.stats();
-        let mut wire = to_wire(&result, stats.total_seconds);
-        if trace {
-            wire.trace = Some(stats.to_trace("engine:reverse_topk"));
-        }
         Ok(wire)
     }
 
@@ -398,7 +350,7 @@ impl RtkService for ShardEngine {
         k: u32,
         update: bool,
     ) -> ServiceResult<WireShardResult> {
-        self.shard_reverse_topk_ext(q, k, update, false, None, None, false)
+        self.shard_reverse_topk_ext(q, k, update, false, None, false)
     }
 
     fn shard_reverse_topk_traced(
@@ -407,7 +359,7 @@ impl RtkService for ShardEngine {
         k: u32,
         update: bool,
     ) -> ServiceResult<WireShardResult> {
-        self.shard_reverse_topk_ext(q, k, update, true, None, None, false)
+        self.shard_reverse_topk_ext(q, k, update, true, None, false)
     }
 
     fn shard_reverse_topk_ext(
@@ -416,11 +368,10 @@ impl RtkService for ShardEngine {
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        let opts = QueryOptions { approx, ..QueryOptions::default() };
+        let opts = QueryOptions::default();
         let (result, pmpn_out) = if update {
             self.query_shard_update_with_pmpn(NodeId(q), k as usize, &opts, pmpn, want_pmpn)
         } else {
@@ -552,7 +503,7 @@ mod tests {
         // Dispatching a decoded wire request lands on the same method.
         let (kind, resp) = dispatch_request(
             &mut engine,
-            Request::ReverseTopk { q: 0, k: 2, update: false, trace: false, approx: None },
+            Request::ReverseTopk { q: 0, k: 2, update: false, trace: false },
         );
         assert_eq!(kind, RequestKind::ReverseTopk);
         let Response::ReverseTopk(r) = resp else { panic!("wrong response: {resp:?}") };
@@ -561,7 +512,7 @@ mod tests {
         // Unknown nodes surface as engine errors, not panics.
         let (_, resp) = dispatch_request(
             &mut engine,
-            Request::ReverseTopk { q: 99, k: 2, update: false, trace: false, approx: None },
+            Request::ReverseTopk { q: 99, k: 2, update: false, trace: false },
         );
         assert!(matches!(resp, Response::Error { code: STATUS_ENGINE_ERROR, .. }), "{resp:?}");
     }
@@ -572,7 +523,7 @@ mod tests {
         let plain = engine.reverse_topk(0, 2, false).unwrap();
         let (_, resp) = dispatch_request(
             &mut engine,
-            Request::ReverseTopk { q: 0, k: 2, update: false, trace: true, approx: None },
+            Request::ReverseTopk { q: 0, k: 2, update: false, trace: true },
         );
         let Response::ReverseTopk(traced) = resp else { panic!("wrong response: {resp:?}") };
         // Bitwise-identical answer, plus a span tree with the two-phase

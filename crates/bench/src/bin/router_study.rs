@@ -1,15 +1,14 @@
 //! Multi-process serving study — per-shard backends behind a fan-out
 //! router, on loopback.
 //!
-//! Builds one sharded index, serves it three ways — a single in-process
-//! `rtk-server`, and `S` shard-only backends behind an `rtk-server`
-//! router in **both fan-out modes** (serial, the pre-v4 behavior kept as
-//! a knob, and concurrent, the wire-v4 default) — and drives all of them
-//! with the same frozen reverse top-k workload from `M` concurrent client
-//! threads (`M` ∈ 1/2/4). Asserts every routed answer equals the
-//! single-process answer (the determinism contract — fan-out mode may
-//! only change wall time), and reports what concurrency buys per backend
-//! count. A final HA scenario runs two replicas per shard and kills one
+//! Builds one sharded index, serves it two ways — a single in-process
+//! `rtk-server`, and `S` shard-only backends (`S` ∈ 1/2/4) behind an
+//! `rtk-server` router with concurrent fan-out — and drives both with the
+//! same frozen reverse top-k workload from `M` concurrent client threads
+//! (`M` ∈ 1/2/4). Asserts every routed answer equals the single-process
+//! answer (the determinism contract — processes may only change wall
+//! time), and reports what routing costs per backend count. A final HA
+//! scenario runs two replicas per shard and kills one
 //! replica mid-sweep, asserting transparent failover (answers unchanged,
 //! `failovers ≥ 1`). Writes the machine-readable `BENCH_router.json`,
 //! schema-aligned with `BENCH_serve.json`
@@ -86,7 +85,7 @@ fn main() {
 
     banner(
         "Router study",
-        "serial vs. concurrent fan-out over per-shard backends vs. one process (RTKWIRE1 v6)",
+        "concurrent fan-out over per-shard backends vs. one process (RTKWIRE1 v9)",
         &format!("rmat n={nodes} m={edges} seed={seed}"),
         &format!("{requests} requests per sweep, k={K}, {cores} core(s) available"),
     );
@@ -145,91 +144,77 @@ fn main() {
         ("sweep", Json::Arr(single_json)),
     ]));
 
-    // Routed tiers: S shard-only backends, S ∈ BACKEND_COUNTS, each swept
-    // under both fan-out modes — the serial-vs-concurrent comparison is
-    // the point of this study since wire v4.
+    // Routed tiers: S shard-only backends, S ∈ BACKEND_COUNTS.
     for &backends in &BACKEND_COUNTS {
         let sharded = build_engine(&graph, backends);
-        for serial_fanout in [true, false] {
-            let mode = if serial_fanout { "serial" } else { "concurrent" };
-            // Fresh backends per mode: a router shutdown propagates to its
-            // backends, so modes cannot share a tier.
-            let backend_handles: Vec<ServerHandle> = (0..backends)
-                .map(|sid| {
-                    let slice = ShardSlice::from_index(sharded.index(), sid).expect("slice");
-                    let engine =
-                        ShardEngine::from_parts(graph.clone(), slice).expect("shard engine");
-                    Server::bind_shard(
-                        engine,
-                        "127.0.0.1:0",
-                        // Wire v4 dispatches frames, not connections, to the
-                        // workers — no per-connection worker budget needed.
-                        ServerConfig { workers: cores.max(2), ..Default::default() },
-                    )
-                    .expect("bind backend")
-                    .spawn()
-                })
-                .collect();
-            let addrs: Vec<String> = backend_handles.iter().map(|h| h.addr().to_string()).collect();
-            let router = Router::bind(
-                &addrs,
-                "127.0.0.1:0",
-                RouterConfig {
-                    workers: cores.max(max_clients) + 1,
-                    serial_fanout,
-                    ..Default::default()
-                },
-            )
-            .expect("bind router")
-            .spawn();
+        let backend_handles: Vec<ServerHandle> = (0..backends)
+            .map(|sid| {
+                let slice = ShardSlice::from_index(sharded.index(), sid).expect("slice");
+                let engine = ShardEngine::from_parts(graph.clone(), slice).expect("shard engine");
+                Server::bind_shard(
+                    engine,
+                    "127.0.0.1:0",
+                    // Wire v4 dispatches frames, not connections, to the
+                    // workers — no per-connection worker budget needed.
+                    ServerConfig { workers: cores.max(2), ..Default::default() },
+                )
+                .expect("bind backend")
+                .spawn()
+            })
+            .collect();
+        let addrs: Vec<String> = backend_handles.iter().map(|h| h.addr().to_string()).collect();
+        let router = Router::bind(
+            &addrs,
+            "127.0.0.1:0",
+            RouterConfig { workers: cores.max(max_clients) + 1, ..Default::default() },
+        )
+        .expect("bind router")
+        .spawn();
 
-            // Determinism gate: routed answers equal single-process
-            // answers in either fan-out mode.
-            {
-                let mut client = Client::connect(router.addr()).expect("verify client");
-                for (i, &q) in workload.iter().take(20).enumerate() {
-                    let r = client.reverse_topk(q, K, false).expect("routed query");
-                    assert_eq!(r.nodes, reference[i], "routed answer diverged (q={q}, {mode})");
-                }
+        // Determinism gate: routed answers equal single-process answers.
+        {
+            let mut client = Client::connect(router.addr()).expect("verify client");
+            for (i, &q) in workload.iter().take(20).enumerate() {
+                let r = client.reverse_topk(q, K, false).expect("routed query");
+                assert_eq!(r.nodes, reference[i], "routed answer diverged (q={q})");
             }
+        }
 
-            let mut tier_json = Vec::new();
-            for &clients in &CLIENT_COUNTS {
-                let (secs, hist) = drive(router.addr(), clients, &workload);
-                let qps = requests as f64 / secs;
-                let (p50, p95, p99) = hist.percentiles();
-                rows.push(vec![
-                    format!("router/{backends}/{mode}"),
-                    clients.to_string(),
-                    format!("{secs:.3}"),
-                    format!("{qps:.1}"),
-                    format!("{p50:.5}"),
-                    format!("{p99:.5}"),
-                ]);
-                tier_json.push(obj(vec![
-                    ("clients", Json::U64(clients as u64)),
-                    ("total_seconds", Json::F64(secs)),
-                    ("queries_per_second", Json::F64(qps)),
-                    ("p50_seconds", Json::F64(p50)),
-                    ("p95_seconds", Json::F64(p95)),
-                    ("p99_seconds", Json::F64(p99)),
-                ]));
-            }
-            json_tiers.push(obj(vec![
-                ("tier", Json::Str("router".into())),
-                ("backends", Json::U64(backends as u64)),
-                ("fanout", Json::Str(mode.into())),
-                ("sweep", Json::Arr(tier_json)),
+        let mut tier_json = Vec::new();
+        for &clients in &CLIENT_COUNTS {
+            let (secs, hist) = drive(router.addr(), clients, &workload);
+            let qps = requests as f64 / secs;
+            let (p50, p95, p99) = hist.percentiles();
+            rows.push(vec![
+                format!("router/{backends}"),
+                clients.to_string(),
+                format!("{secs:.3}"),
+                format!("{qps:.1}"),
+                format!("{p50:.5}"),
+                format!("{p99:.5}"),
+            ]);
+            tier_json.push(obj(vec![
+                ("clients", Json::U64(clients as u64)),
+                ("total_seconds", Json::F64(secs)),
+                ("queries_per_second", Json::F64(qps)),
+                ("p50_seconds", Json::F64(p50)),
+                ("p95_seconds", Json::F64(p95)),
+                ("p99_seconds", Json::F64(p99)),
             ]));
+        }
+        json_tiers.push(obj(vec![
+            ("tier", Json::Str("router".into())),
+            ("backends", Json::U64(backends as u64)),
+            ("sweep", Json::Arr(tier_json)),
+        ]));
 
-            let mut client = Client::connect(router.addr()).expect("shutdown client");
-            let stats = client.stats().expect("router stats");
-            assert_eq!(stats.unhealthy_backends, 0, "no backend may fail during the study");
-            client.shutdown().expect("router shutdown"); // propagates to backends
-            router.join().expect("router join");
-            for h in backend_handles {
-                h.join().expect("backend join");
-            }
+        let mut client = Client::connect(router.addr()).expect("shutdown client");
+        let stats = client.stats().expect("router stats");
+        assert_eq!(stats.unhealthy_backends, 0, "no backend may fail during the study");
+        client.shutdown().expect("router shutdown"); // propagates to backends
+        router.join().expect("router join");
+        for h in backend_handles {
+            h.join().expect("backend join");
         }
     }
 

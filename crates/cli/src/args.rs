@@ -13,18 +13,8 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "update",
-    "strict",
-    "early",
-    "approximate",
-    "shard-only",
-    "serial-fanout",
-    "pipeline",
-    "trace",
-    "json",
-    "help",
-];
+const BOOLEAN_FLAGS: &[&str] =
+    &["update", "strict", "early", "approximate", "shard-only", "pipeline", "trace", "json"];
 
 impl Parsed {
     /// Splits `argv` into positionals and flags.
@@ -92,6 +82,19 @@ impl Parsed {
     }
 }
 
+/// Rejects the first `--flag` in `argv` that `allowed` does not list,
+/// naming it: a mistyped or retired flag must fail, never be ignored.
+pub fn check_flags(argv: &[String], allowed: &[String]) -> Result<(), String> {
+    for arg in argv {
+        let Some(flag) = arg.strip_prefix("--") else { continue };
+        let name = flag.split_once('=').map_or(flag, |(k, _)| k);
+        if !allowed.iter().any(|a| a == name) {
+            return Err(format!("unknown flag --{name}"));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +132,17 @@ mod tests {
         assert!(p.get_num::<usize>("k", 0).is_ok());
         let bad = Parsed::parse(&argv("--k x")).unwrap();
         assert!(bad.get_num::<usize>("k", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let allowed = vec!["k".to_string(), "update".to_string()];
+        assert!(check_flags(&argv("g.rtkg --k 5 --update"), &allowed).is_ok());
+        assert!(check_flags(&argv("g.rtkg --k=5"), &allowed).is_ok());
+        let err = check_flags(&argv("g.rtkg --k 5 --bogus-flag 5"), &allowed).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus-flag");
+        let err = check_flags(&argv("--approx=1e-4"), &allowed).unwrap_err();
+        assert_eq!(err, "unknown flag --approx");
     }
 
     #[test]

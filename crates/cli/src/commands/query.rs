@@ -2,22 +2,7 @@
 
 use crate::args::Parsed;
 use rtk_graph::TransitionMatrix;
-use rtk_query::{ApproxParams, BoundMode, QueryEngine, QueryOptions};
-
-/// Parses the shared `--approx <eps> [--approx-walks N] [--approx-seed S]`
-/// flag family (used by `rtk query` and `rtk remote query`).
-pub(crate) fn approx_from_args(args: &Parsed) -> Result<Option<ApproxParams>, String> {
-    let Some(raw) = args.get("approx") else { return Ok(None) };
-    let epsilon: f64 = raw
-        .parse()
-        .map_err(|_| "query: --approx expects an error bound like 1e-4".to_string())?;
-    if !epsilon.is_finite() || epsilon < 0.0 {
-        return Err("query: --approx must be finite and non-negative".to_string());
-    }
-    let walks = args.get_num("approx-walks", ApproxParams::default().walks)?;
-    let seed = args.get_num("approx-seed", ApproxParams::default().seed)?;
-    Ok(Some(ApproxParams { epsilon, walks, seed }))
-}
+use rtk_query::{BoundMode, QueryEngine, QueryOptions};
 
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let graph_path = args.positional(0, "graph")?;
@@ -40,7 +25,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         bound_mode: if args.has("strict") { BoundMode::Strict } else { BoundMode::PaperFaithful },
         approximate: args.has("approximate"),
         query_threads: threads,
-        approx: approx_from_args(args)?,
         ..Default::default()
     };
     let mut session = QueryEngine::new(&index);
@@ -62,12 +46,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         s.refine_iterations,
         s.total_seconds
     );
-    if s.approx_active {
-        println!(
-            "approx: {} estimated | {} exact-refined | {} walks",
-            s.approx_estimated, s.approx_exact_refined, s.approx_walks
-        );
-    }
 
     if args.has("update") {
         rtk_index::storage::save_path(&index, index_path)

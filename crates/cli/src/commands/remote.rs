@@ -100,15 +100,10 @@ fn query(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
     let k = args.get_num("k", 10u32)?;
     let update = args.has("update");
     let traced = args.has("trace");
-    let approx =
-        super::query::approx_from_args(args).map_err(|e| e.replace("query:", "remote query:"))?;
     let started = std::time::Instant::now();
-    let r = match approx {
-        Some(a) => svc.reverse_topk_approx(q, k, update, traced, a),
-        None if traced => svc.reverse_topk_traced(q, k, update),
-        None => svc.reverse_topk(q, k, update),
-    }
-    .map_err(|e| format!("remote query: {e}"))?;
+    let r =
+        if traced { svc.reverse_topk_traced(q, k, update) } else { svc.reverse_topk(q, k, update) }
+            .map_err(|e| format!("remote query: {e}"))?;
     let round_trip = started.elapsed().as_secs_f64();
     println!(
         "reverse top-{k} of node {q}{}: {} result(s)",
@@ -122,12 +117,6 @@ fn query(svc: &mut impl RtkService, args: &Parsed) -> Result<(), String> {
         "stats: {} candidates | {} hits | {} refined ({} iterations) | {:.4}s server-side",
         r.candidates, r.hits, r.refined_nodes, r.refine_iterations, r.server_seconds
     );
-    if let Some(a) = &r.approx {
-        println!(
-            "approx: {} estimated | {} exact-refined | {} walks",
-            a.estimated, a.exact_refined, a.walks
-        );
-    }
     if traced {
         match r.trace {
             Some(server_trace) => {
@@ -269,12 +258,6 @@ fn stats(svc: &mut impl RtkService) -> Result<(), String> {
         println!(
             "  resilience:       {} hedged request(s), {} failover(s)",
             s.hedged_requests, s.failovers
-        );
-    }
-    if s.approx_queries > 0 {
-        println!(
-            "  approx:           {} query(ies): {} estimated, {} exact-refined, {} walks",
-            s.approx_queries, s.approx_estimated, s.approx_exact_refined, s.approx_walks
         );
     }
     println!("  connections:      {} ({} rejected at cap)", s.connections, s.rejected_connections);
@@ -465,19 +448,6 @@ mod tests {
                 "--k".into(),
                 "2".into(),
                 "--trace".into(),
-            ],
-            vec![
-                "query".into(),
-                "--addr".into(),
-                addr.clone(),
-                "--node".into(),
-                "0".into(),
-                "--k".into(),
-                "2".into(),
-                "--approx".into(),
-                "1e-4".into(),
-                "--approx-seed".into(),
-                "7".into(),
             ],
             vec!["stats".into(), "--addr".into(), addr.clone()],
             vec!["stats".into(), "--addr".into(), addr.clone(), "--json".into()],

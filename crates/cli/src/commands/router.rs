@@ -13,7 +13,6 @@ use rtk_server::{Router, RouterConfig};
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:7314";
 
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
-    super::init_logging(args).map_err(|e| format!("router: {e}"))?;
     let backends: Vec<String> = args
         .get("backends")
         .ok_or_else(|| {
@@ -55,7 +54,6 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
         auth_token: args.get("auth-token").map(str::to_string),
         connect_timeout,
         backend_io_timeout,
-        serial_fanout: args.has("serial-fanout"),
         hedge_quantile: {
             let q = args.get_num("hedge-quantile", defaults.hedge_quantile)?;
             if q != 0.0 && !(0.0..1.0).contains(&q) {
@@ -84,13 +82,12 @@ pub(crate) fn run(args: &Parsed) -> Result<(), String> {
     let router =
         Router::bind(&backends, addr, config.clone()).map_err(|e| format!("router: {e}"))?;
     println!(
-        "rtk router listening on {} ({} workers, {} backend(s) over {} shard(s), {} fan-out{}); \
+        "rtk router listening on {} ({} workers, {} backend(s) over {} shard(s){}); \
          stop with `rtk remote shutdown --addr {}` (propagates to backends)",
         router.local_addr(),
         if config.workers == 0 { "all-core".to_string() } else { config.workers.to_string() },
         router.backend_count(),
         router.shard_count(),
-        if config.serial_fanout { "serial" } else { "concurrent" },
         if config.auth_token.is_some() { ", auth required" } else { "" },
         router.local_addr()
     );

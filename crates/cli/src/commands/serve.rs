@@ -13,7 +13,6 @@ use std::io::Read;
 pub(crate) const DEFAULT_ADDR: &str = "127.0.0.1:7313";
 
 pub(crate) fn run(args: &Parsed) -> Result<(), String> {
-    super::init_logging(args).map_err(|e| format!("serve: {e}"))?;
     let addr = args.get("addr").unwrap_or(DEFAULT_ADDR);
     let config = ServerConfig {
         workers: args.get_num("workers", 0usize)?,

@@ -25,8 +25,8 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             // Through the structured log layer (a JSON line on stderr, or
-            // the --log-file sink if a serving command installed one), so
-            // CLI failures land in the same stream as server events.
+            // the --log-file sink), so CLI failures land in the same
+            // stream as server events.
             rtk_obs::log_event(rtk_obs::Level::Error, "rtk", &e, &[]);
             ExitCode::FAILURE
         }

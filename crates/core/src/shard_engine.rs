@@ -153,8 +153,7 @@ impl ShardEngine {
     /// precomputed proximity-to-`q` vector so this backend can skip the
     /// solve, and `want_pmpn` asks for the locally solved vector back so a
     /// router can solve once per query and ship the result to the other
-    /// shards. The returned vector is `None` unless `want_pmpn` and the
-    /// exact solve actually ran (approx mode has no exact PMPN).
+    /// shards. The returned vector is `None` unless `want_pmpn`.
     pub fn query_shard_frozen_with_pmpn(
         &self,
         q: NodeId,

@@ -29,6 +29,5 @@ pub use query::{
     BoundMode, ChunkStrategy, QueryEngine, QueryOptions, QueryResult, QueryStats, ScreenScope,
     ShardQueryOutput,
 };
-pub use rtk_approx::{ApproxParams, ApproxUsage};
 pub use topk::{top_k_rwr_early, TopkReport};
 pub use upper_bound::upper_bound_kth;

@@ -25,7 +25,6 @@
 
 use crate::error::QueryError;
 use crate::upper_bound::upper_bound_kth;
-use rtk_approx::{ApproxParams, BidirEstimator};
 use rtk_graph::{resolve_threads, DiGraph, TransitionMatrix};
 use rtk_index::{refine_state, HubMatrix, IndexShard, Materializer, NodeState, ReverseIndex};
 use rtk_rwr::bca::{BcaEngine, BcaStop, PropagationStrategy};
@@ -127,18 +126,6 @@ pub struct QueryOptions {
     /// How the screen scan is cut into work units (see [`ChunkStrategy`]).
     /// Results are identical for any value.
     pub chunking: ChunkStrategy,
-    /// Bounded-error approximate screen (the `rtk-approx` subsystem): when
-    /// set with `epsilon > 0`, the exact PMPN solve is replaced by a
-    /// bidirectional estimate — a backward residue push from `q` with
-    /// deterministic radius `ε/2` plus seeded forward walks per surviving
-    /// candidate — and undecided candidates stop refining once their top-k
-    /// boundary is pinned to a window of width ε, deciding at the midpoint.
-    /// The answer's node set then differs from the exact answer only on
-    /// nodes whose true proximity lies within ε of their decision boundary.
-    /// `Some` with `epsilon == 0` (and `None`) run the exact path,
-    /// byte-for-byte. Distinct from [`Self::approximate`], the paper's
-    /// §5.3 drop-mode, which offers no bound.
-    pub approx: Option<ApproxParams>,
 }
 
 impl Default for QueryOptions {
@@ -151,7 +138,6 @@ impl Default for QueryOptions {
             approximate: false,
             query_threads: 0,
             chunking: ChunkStrategy::EdgeBalanced,
-            approx: None,
         }
     }
 }
@@ -180,20 +166,6 @@ pub struct QueryStats {
     pub screen_seconds: f64,
     /// Total query seconds.
     pub total_seconds: f64,
-    /// Whether the bounded-error approximate screen ran for this query
-    /// ([`QueryOptions::approx`] with `epsilon > 0`).
-    pub approx_active: bool,
-    /// Approx mode: candidates classified from the bidirectional estimate
-    /// alone (envelope checks, walk estimates, ε-window midpoint calls).
-    pub approx_estimated: u64,
-    /// Approx mode: candidates inside the ε-band whose decision came from
-    /// the exact refinement machinery.
-    pub approx_exact_refined: u64,
-    /// Approx mode: forward walks simulated.
-    pub approx_walks: u64,
-    /// Approx mode: seconds spent building the backward-push estimator
-    /// (the approximate analog of the PMPN solve).
-    pub approx_build_seconds: f64,
 }
 
 impl QueryStats {
@@ -205,10 +177,6 @@ impl QueryStats {
         self.refined_nodes += other.refined_nodes;
         self.refine_iterations += other.refine_iterations;
         self.exact_fallbacks += other.exact_fallbacks;
-        self.approx_active |= other.approx_active;
-        self.approx_estimated += other.approx_estimated;
-        self.approx_exact_refined += other.approx_exact_refined;
-        self.approx_walks += other.approx_walks;
     }
 
     /// Rebuilds the two-phase breakdown as a span tree named `name`:
@@ -229,17 +197,6 @@ impl QueryStats {
             .annotate("refine_iterations", self.refine_iterations.to_string());
         if self.exact_fallbacks > 0 {
             screen = screen.annotate("exact_fallbacks", self.exact_fallbacks.to_string());
-        }
-        if self.approx_active {
-            // The approx sub-span sits under the screen phase: the backward
-            // push runs where PMPN would, but the walk + ε-band work is what
-            // the screen spends its time on.
-            let mut approx = TraceSpan::new("approx_screen", self.approx_build_seconds)
-                .annotate("estimated", self.approx_estimated.to_string())
-                .annotate("exact_refined", self.approx_exact_refined.to_string())
-                .annotate("walks", self.approx_walks.to_string());
-            approx.start_seconds = 0.0;
-            screen.children.push(approx);
         }
         screen.start_seconds = self.pmpn_seconds;
         // Whatever the total holds beyond the two measured phases (commit
@@ -528,8 +485,7 @@ impl QueryEngine {
     /// backend solves the identical full-graph system, so a shipped vector
     /// is bitwise-equal to a local solve — answers cannot change.
     ///
-    /// The returned vector is `None` when `want_pmpn` is false, when a
-    /// vector was not produced (approx mode has no exact PMPN), and the
+    /// The returned vector is `None` when `want_pmpn` is false, and the
     /// supplied vector is rejected with [`QueryError::GraphMismatch`] when
     /// its length disagrees with the graph.
     #[allow(clippy::too_many_arguments)]
@@ -702,9 +658,9 @@ impl<'a> ScreenScope<'a> {
 
 /// Runs PMPN + the screen phase against a read-only scope. Returns the
 /// result (with `total_seconds` still unset), the refined states to commit
-/// (empty unless `want_commits`), and — when `want_pmpn` and the exact path
-/// ran — the PMPN vector, so a router can ship it to sibling backends
-/// instead of having each re-solve it.
+/// (empty unless `want_commits`), and — when `want_pmpn` — the PMPN
+/// vector, so a router can ship it to sibling backends instead of having
+/// each re-solve it.
 ///
 /// `pmpn_in` supplies a precomputed PMPN vector (skipping the solve); the
 /// caller must have validated its length. Every backend solves the
@@ -723,20 +679,12 @@ fn execute_query(
     pmpn_in: Option<&[f64]>,
     want_pmpn: bool,
 ) -> (QueryResult, Vec<(u32, NodeState)>, Option<Vec<f64>>) {
-    let approx = options.approx.filter(|a| a.is_active());
-
     // Step 1 (Alg. 4 line 1): exact proximities to q via PMPN, with the
-    // index's restart probability, SpMV spread over the query threads — or,
-    // in approx mode, the backward residue push of the bidirectional
-    // estimator (deterministic radius ε/2; see `rtk-approx`).
+    // index's restart probability, SpMV spread over the query threads.
     let pmpn_params = RwrParams { alpha: scope.alpha, threads, ..options.rwr };
     let pmpn_t0 = Instant::now();
     let mut pmpn_iterations = 0u32;
-    let mut estimator: Option<BidirEstimator> = None;
-    let to_q: Vec<f64> = if let Some(a) = approx {
-        estimator = Some(BidirEstimator::build(transition, q, scope.alpha, &a, a.epsilon / 2.0));
-        Vec::new()
-    } else if let Some(v) = pmpn_in {
+    let to_q: Vec<f64> = if let Some(v) = pmpn_in {
         v.to_vec()
     } else {
         let (v, report) = proximity_to(transition, q, &pmpn_params);
@@ -774,12 +722,7 @@ fn execute_query(
     let mut pending: Vec<PendingCandidate> = Vec::new();
     if classify_threads <= 1 {
         let mut local = LocalClassify::default();
-        match &estimator {
-            Some(est) => classify_worker_approx(
-                &mut local, &chunks, &next, scope, transition, est, k, options,
-            ),
-            None => classify_worker(&mut local, &chunks, &next, scope, &to_q, k, options),
-        }
+        classify_worker(&mut local, &chunks, &next, scope, &to_q, k, options);
         stats.absorb(&local.stats);
         results.extend(local.results);
         pending.extend(local.pending);
@@ -790,31 +733,10 @@ fn execute_query(
                 let next = &next;
                 let chunks = &chunks;
                 let to_q = &to_q;
-                let estimator = &estimator;
                 let collected = &collected;
                 pool.spawn(move || {
                     let mut local = LocalClassify::default();
-                    match estimator {
-                        Some(est) => classify_worker_approx(
-                            &mut local,
-                            chunks,
-                            next,
-                            screen_scope,
-                            transition,
-                            est,
-                            k,
-                            options,
-                        ),
-                        None => classify_worker(
-                            &mut local,
-                            chunks,
-                            next,
-                            screen_scope,
-                            to_q,
-                            k,
-                            options,
-                        ),
-                    }
+                    classify_worker(&mut local, chunks, next, screen_scope, to_q, k, options);
                     collected.lock().expect("classify results poisoned").push(local);
                 });
             }
@@ -838,7 +760,6 @@ fn execute_query(
         threads: if refine_threads > 1 { 1 } else { pmpn_params.threads },
         ..pmpn_params
     };
-    let approx_epsilon = approx.map(|a| a.epsilon);
     let next = AtomicUsize::new(0);
     let locals: Vec<LocalScreen> = if refine_threads <= 1 {
         let mut scratch = session.scratch.take_with(|| session.make_scratch());
@@ -855,7 +776,6 @@ fn execute_query(
             options,
             &fallback_params,
             want_commits,
-            approx_epsilon,
         );
         session.scratch.put(scratch);
         vec![local]
@@ -882,7 +802,6 @@ fn execute_query(
                         options,
                         fallback_params,
                         want_commits,
-                        approx_epsilon,
                     );
                     session.scratch.put(scratch);
                     collected.lock().expect("screen results poisoned").push(local);
@@ -909,15 +828,7 @@ fn execute_query(
     stats.pmpn_seconds = pmpn_seconds;
     stats.screen_seconds = screen_t0.elapsed().as_secs_f64();
     stats.total_seconds = pmpn_seconds + stats.screen_seconds;
-    if approx.is_some() {
-        stats.approx_active = true;
-        stats.approx_build_seconds = pmpn_seconds;
-    }
-
-    // Hand the solved PMPN vector back only when it exists and was computed
-    // here or supplied — the approximate path has no exact vector to share.
-    let pmpn_out = if want_pmpn && approx.is_none() { Some(to_q) } else { None };
-    (QueryResult { query: q, k, nodes, proximities, stats }, commits, pmpn_out)
+    (QueryResult { query: q, k, nodes, proximities, stats }, commits, want_pmpn.then_some(to_q))
 }
 
 /// Shard-aligned chunking of the screen scan: every shard's node range is
@@ -1101,84 +1012,11 @@ fn classify_worker(
     }
 }
 
-/// Approximate classify pass (`rtk-approx` subsystem): the exact PMPN value
-/// is replaced by the bidirectional estimator's deterministic envelope
-/// `est[u] ≤ p_u(q) ≤ est[u] + ρ` (ρ = ε/2). Nodes the envelope alone
-/// prunes cost nothing extra; surviving candidates get a walk-refined point
-/// estimate `p̃` (still inside the envelope) and are decided against the
-/// same stored bounds the exact pass uses. Only candidates whose `p̃` falls
-/// strictly between the stored bounds stay pending for the (approximately
-/// early-stopped) refinement. Any misclassification requires the true
-/// proximity to lie within ε of the node's top-k boundary.
-#[allow(clippy::too_many_arguments)]
-fn classify_worker_approx(
-    local: &mut LocalClassify,
-    chunks: &ChunkPlan,
-    next: &AtomicUsize,
-    scope: &ScreenScope<'_>,
-    transition: &TransitionMatrix<'_>,
-    est: &BidirEstimator,
-    k: usize,
-    options: &QueryOptions,
-) {
-    let strict = options.bound_mode == BoundMode::Strict;
-    let rho = est.bound();
-    loop {
-        let ci = next.fetch_add(1, Ordering::Relaxed);
-        let Some((lo, hi)) = chunks.chunk(ci) else {
-            break;
-        };
-        for u in lo..hi {
-            let lower = est.lower(u);
-            // Positivity prune on the envelope's optimistic edge: even
-            // `est + ρ` cannot clear the tie floor.
-            if lower + rho <= TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            // Envelope prune against the stored lower bound — the certain
-            // misses, decided without a single walk.
-            let state = scope.state(u);
-            let lb = state.kth_lower_bound(k);
-            if lower + rho < lb - TIE_EPSILON {
-                local.stats.pruned_by_lower_bound += 1;
-                continue;
-            }
-            local.stats.candidates += 1;
-            // Walk-refined point estimate; stays within [lower, lower + ρ].
-            let (p_est, walks) = est.estimate(transition, u);
-            local.stats.approx_walks += walks;
-            if p_est <= TIE_EPSILON || p_est < lb - TIE_EPSILON {
-                local.stats.approx_estimated += 1; // estimated miss
-                continue;
-            }
-            let residual = state.residual_mass(strict);
-            if residual <= EXACT_RESIDUAL_EPS {
-                // Stored bounds are exact: the boundary *is* lb; the
-                // estimate already cleared it above.
-                local.stats.approx_estimated += 1;
-                local.results.push((u, p_est));
-                continue;
-            }
-            let staircase = state.lower_bounds().prefix_values(k);
-            let ub = upper_bound_kth(&staircase, residual, k);
-            if p_est >= ub {
-                local.stats.hits += 1; // confirmed without any refinement
-                local.stats.approx_estimated += 1;
-                local.results.push((u, p_est));
-                continue;
-            }
-            local.pending.push(PendingCandidate { node: u, p_uq: p_est, ub });
-        }
-    }
-}
-
 /// Refine pass: pulls single pending candidates off `next` (the list is
 /// sorted by descending upper bound) and resolves each with
-/// [`screen_candidate`] — or, when `approx_epsilon` is set, with the
-/// ε-banded [`screen_candidate_approx`]. Candidates are claimed one at a
-/// time — the refinement tail is heavy and skewed, so finer granularity
-/// beats lower counter traffic here.
+/// [`screen_candidate`]. Candidates are claimed one at a time — the
+/// refinement tail is heavy and skewed, so finer granularity beats lower
+/// counter traffic here.
 #[allow(clippy::too_many_arguments)]
 fn refine_worker(
     local: &mut LocalScreen,
@@ -1192,42 +1030,25 @@ fn refine_worker(
     options: &QueryOptions,
     fallback_params: &RwrParams,
     want_commits: bool,
-    approx_epsilon: Option<f64>,
 ) {
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(candidate) = pending.get(i) else {
             break;
         };
-        match approx_epsilon {
-            Some(epsilon) => screen_candidate_approx(
-                local,
-                scratch,
-                transition,
-                scope,
-                candidate.node,
-                candidate.p_uq,
-                q,
-                k,
-                options,
-                fallback_params,
-                want_commits,
-                epsilon,
-            ),
-            None => screen_candidate(
-                local,
-                scratch,
-                transition,
-                scope,
-                candidate.node,
-                candidate.p_uq,
-                q,
-                k,
-                options,
-                fallback_params,
-                want_commits,
-            ),
-        }
+        screen_candidate(
+            local,
+            scratch,
+            transition,
+            scope,
+            candidate.node,
+            candidate.p_uq,
+            q,
+            k,
+            options,
+            fallback_params,
+            want_commits,
+        );
     }
 }
 
@@ -1333,123 +1154,6 @@ fn screen_candidate(
         }
         advanced = true;
         local.stats.refine_iterations += u64::from(executed);
-    }
-    if is_result {
-        local.results.push((u, p_uq));
-    }
-    if want_commits && advanced {
-        if let Some(state) = scratch_state {
-            local.commits.push((u, state));
-        }
-    }
-}
-
-/// [`screen_candidate`] for the bounded-error approximate path: `p_uq` is
-/// the bidirectional estimate `p̃` (within ε/2 of the truth), and the
-/// refinement loop gains one extra exit — once the candidate's top-k
-/// boundary window `[lb, ub]` is no wider than ε, the membership call is
-/// made at the window midpoint instead of refining further. A wrong call
-/// then needs `|p̃ − p̂| ≤ ε/2` and `|p − p̃| ≤ ε/2`, so any misclassified
-/// node's true margin is at most ε — the error contract. Candidates whose
-/// window never narrows to ε are decided by the *exact* machinery exactly
-/// as the exact path would (bound crossing, or the strict-mode forward
-/// solve), which is the "exact fallback inside the ε-band".
-#[allow(clippy::too_many_arguments)]
-fn screen_candidate_approx(
-    local: &mut LocalScreen,
-    scratch: &mut RefineScratch,
-    transition: &TransitionMatrix<'_>,
-    scope: &ScreenScope<'_>,
-    u: u32,
-    p_uq: f64,
-    q: u32,
-    k: usize,
-    options: &QueryOptions,
-    fallback_params: &RwrParams,
-    want_commits: bool,
-    epsilon: f64,
-) {
-    let strict = options.bound_mode == BoundMode::Strict;
-    let base_step = options.refine_iterations.max(1);
-    let mut scratch_state: Option<NodeState> = None;
-
-    let mut untouched = true;
-    let mut is_result = false;
-    let mut advanced = false;
-    let mut midpoint_call = false; // decided by the ε-window, not by bounds
-    let mut step = base_step;
-    loop {
-        let (lb, residual, staircase) = {
-            let state = scratch_state.as_ref().unwrap_or_else(|| scope.state(u));
-            (
-                state.kth_lower_bound(k),
-                state.residual_mass(strict),
-                state.lower_bounds().prefix_values(k),
-            )
-        };
-        if p_uq < lb - TIE_EPSILON {
-            break; // estimated below the (possibly refined) lower bound
-        }
-        if residual <= EXACT_RESIDUAL_EPS {
-            is_result = true;
-            break;
-        }
-        let ub = upper_bound_kth(&staircase, residual, k);
-        if p_uq >= ub {
-            if untouched {
-                local.stats.hits += 1;
-            }
-            is_result = true;
-            break;
-        }
-        // ε-window exit: p̂_u(k) ∈ [lb, ub]; once that window fits in ε,
-        // call membership at the midpoint and stop paying for refinement.
-        if ub - lb <= epsilon {
-            is_result = p_uq >= (lb + ub) * 0.5;
-            midpoint_call = true;
-            break;
-        }
-
-        if untouched {
-            local.stats.refined_nodes += 1;
-            untouched = false;
-        }
-        let refine_stop = BcaStop { residue_norm: 0.0, max_iterations: step };
-        step = (step * 2).min(base_step * 64);
-        let state = scratch_state.get_or_insert_with(|| scope.state(u).clone());
-        let executed = refine_state(
-            state,
-            transition,
-            &mut scratch.engine,
-            scope.hub_matrix,
-            &mut scratch.materializer,
-            &refine_stop,
-        );
-        if executed == 0 {
-            // Residue exhausted with the window still wider than ε: the
-            // remaining gap is hub-rounding deficit. Resolve exactly as the
-            // exact path does (lower bound is exact in paper-faithful mode;
-            // strict mode runs one exact forward solve).
-            match options.bound_mode {
-                BoundMode::PaperFaithful => {
-                    is_result = p_uq >= lb - TIE_EPSILON;
-                }
-                BoundMode::Strict => {
-                    local.stats.exact_fallbacks += 1;
-                    let (col, _) = proximity_from(transition, u, fallback_params);
-                    let kth = rtk_sparse::dense::kth_largest(&col, k);
-                    is_result = col[q as usize] >= kth - TIE_EPSILON;
-                }
-            }
-            break;
-        }
-        advanced = true;
-        local.stats.refine_iterations += u64::from(executed);
-    }
-    if midpoint_call {
-        local.stats.approx_estimated += 1;
-    } else {
-        local.stats.approx_exact_refined += 1;
     }
     if is_result {
         local.results.push((u, p_uq));
@@ -1583,96 +1287,6 @@ mod tests {
                 assert_eq!(a.nodes(), b.nodes(), "q={q} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn approx_disagreements_stay_inside_the_epsilon_band() {
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(120, 500, 5)).unwrap();
-        let t = TransitionMatrix::new(&g);
-        let config = IndexConfig {
-            max_k: 10,
-            hub_selection: HubSelection::DegreeBased { b: 5 },
-            threads: 1,
-            ..Default::default()
-        };
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut session = QueryEngine::new(&index);
-        let epsilon = 1e-4;
-        let opts = QueryOptions {
-            approx: Some(ApproxParams { epsilon, walks: 16, seed: 7 }),
-            ..Default::default()
-        };
-        let exact_params = RwrParams { epsilon: 1e-14, ..Default::default() };
-        for q in [0u32, 7, 33] {
-            for k in [1usize, 5] {
-                let approx = session.query_frozen(&t, &index, q, k, &opts).unwrap();
-                assert!(approx.stats().approx_active);
-                let exact: std::collections::BTreeSet<u32> =
-                    brute_force_reverse_topk(&t, q, k, &exact_params).into_iter().collect();
-                let got: std::collections::BTreeSet<u32> = approx.nodes().iter().copied().collect();
-                for &u in exact.symmetric_difference(&got) {
-                    // Any disagreement must sit within ε of u's decision
-                    // boundary p̂_u(k): |p_u(q) − p̂_u(k)| ≤ ε.
-                    let (col, _) = proximity_from(&t, u, &exact_params);
-                    let kth = rtk_sparse::dense::kth_largest(&col, k);
-                    let margin = (col[q as usize] - kth).abs();
-                    assert!(
-                        margin <= epsilon + TIE_EPSILON,
-                        "q={q} k={k} u={u}: margin {margin:.3e} > ε"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn approx_answers_are_bitwise_stable_across_thread_counts() {
-        let g = rtk_graph::gen::rmat(&rtk_graph::gen::RmatConfig::new(150, 700, 9)).unwrap();
-        let t = TransitionMatrix::new(&g);
-        let config = IndexConfig {
-            max_k: 8,
-            hub_selection: HubSelection::DegreeBased { b: 6 },
-            threads: 1,
-            ..Default::default()
-        };
-        let index = ReverseIndex::build(&t, config).unwrap();
-        let mut session = QueryEngine::new(&index);
-        let approx = Some(ApproxParams { epsilon: 1e-3, walks: 24, seed: 42 });
-        let base = QueryOptions { approx, query_threads: 1, ..Default::default() };
-        let reference = session.query_frozen(&t, &index, 11, 4, &base).unwrap();
-        assert!(
-            reference.stats().approx_estimated + reference.stats().approx_exact_refined > 0,
-            "approx screen should classify at least one candidate"
-        );
-        for threads in [2usize, 4] {
-            let opts = QueryOptions { query_threads: threads, ..base };
-            let run = session.query_frozen(&t, &index, 11, 4, &opts).unwrap();
-            assert_eq!(run.nodes(), reference.nodes(), "threads={threads}");
-            let same = run
-                .proximities()
-                .iter()
-                .zip(reference.proximities())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads={threads}: proximities must be bitwise equal");
-        }
-    }
-
-    #[test]
-    fn inactive_approx_params_take_the_exact_path() {
-        let g = toy();
-        let t = TransitionMatrix::new(&g);
-        let index = ReverseIndex::build(&t, toy_index_config()).unwrap();
-        let mut session = QueryEngine::new(&index);
-        let zero = QueryOptions {
-            approx: Some(ApproxParams { epsilon: 0.0, walks: 32, seed: 3 }),
-            ..Default::default()
-        };
-        let a = session.query_frozen(&t, &index, 0, 2, &zero).unwrap();
-        let b = session.query_frozen(&t, &index, 0, 2, &QueryOptions::default()).unwrap();
-        assert_eq!(a.nodes(), b.nodes());
-        assert_eq!(a.proximities(), b.proximities());
-        assert!(!a.stats().approx_active, "ε = 0 must not enter the approx screen");
-        assert_eq!(a.stats().pmpn_iterations, b.stats().pmpn_iterations);
     }
 
     #[test]
@@ -2194,7 +1808,6 @@ mod tests {
             pmpn_seconds: 0.002,
             screen_seconds: 0.006,
             total_seconds: 0.009,
-            ..Default::default()
         };
         let trace = stats.to_trace("engine:reverse_topk");
         assert_eq!(trace.name, "engine:reverse_topk");

@@ -11,8 +11,6 @@
 //! * [`bca`] — the Bookmark Coloring Algorithm: Berkhin's single-node
 //!   propagation, the threshold variant, and the paper's batched adaptation
 //!   (Eqs. 8–9) with hub ink accumulation (Eq. 6) and resumable snapshots;
-//! * [`monte_carlo`] — the MC End-Point and MC Complete-Path estimators the
-//!   paper discusses as (non-lower-bounding) alternatives (§6.2);
 //! * [`hubs`] — degree-based hub selection (§4.1.1) and Berkhin's greedy
 //!   BCA-driven selection as an ablation baseline;
 //! * [`exact`] — a dense Gaussian-elimination oracle for small graphs, used
@@ -24,7 +22,6 @@
 pub mod bca;
 pub mod exact;
 pub mod hubs;
-pub mod monte_carlo;
 pub mod params;
 pub mod pmpn;
 pub mod power;

@@ -4,8 +4,8 @@
 use crate::error::ServerError;
 use crate::metrics::StatsSnapshot;
 use crate::wire::{
-    self, ApproxParams, Request, Response, WireQueryResult, WireShardResult, WireTopk,
-    WireUpdateResult, DEFAULT_MAX_FRAME_BYTES,
+    self, Request, Response, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use rtk_api::service::{RtkService, ServiceError, ServiceResult};
 use std::collections::{HashMap, HashSet};
@@ -351,7 +351,7 @@ impl Client {
         k: u32,
         update: bool,
     ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: false, approx: None })
+        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: false })
     }
 
     /// [`Self::submit_reverse_topk`] with the wire v6 trace flag set: the
@@ -363,22 +363,7 @@ impl Client {
         k: u32,
         update: bool,
     ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: true, approx: None })
-    }
-
-    /// [`Self::submit_reverse_topk`] with the wire v8 approximate-screen
-    /// knob set: the service classifies candidates through the
-    /// bidirectional estimator and the answer carries its usage report in
-    /// `WireQueryResult::approx`.
-    pub fn submit_reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<Pending<WireQueryResult>, ServerError> {
-        self.submit_typed(&Request::ReverseTopk { q, k, update, trace, approx: Some(approx) })
+        self.submit_typed(&Request::ReverseTopk { q, k, update, trace: true })
     }
 
     /// [`Self::submit`] with a typed handle for a shard-scoped query.
@@ -393,7 +378,6 @@ impl Client {
             k,
             update,
             trace: false,
-            approx: None,
             pmpn: None,
             want_pmpn: false,
         })
@@ -411,36 +395,25 @@ impl Client {
             k,
             update,
             trace: true,
-            approx: None,
             pmpn: None,
             want_pmpn: false,
         })
     }
 
-    /// [`Self::submit_shard_reverse_topk`] with the full wire v8 tail:
-    /// optional approximate-screen knob, an optional precomputed PMPN
-    /// vector for the backend to reuse, and the `want_pmpn` request to
-    /// return the solved vector (the router's ship-once optimization).
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::submit_shard_reverse_topk`] with the full wire v8 tail: an
+    /// optional precomputed PMPN vector for the backend to reuse, and the
+    /// `want_pmpn` request to return the solved vector (the router's
+    /// ship-once optimization).
     pub fn submit_shard_reverse_topk_ext(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
         pmpn: Option<Vec<f64>>,
         want_pmpn: bool,
     ) -> Result<Pending<WireShardResult>, ServerError> {
-        self.submit_typed(&Request::ShardReverseTopk {
-            q,
-            k,
-            update,
-            trace,
-            approx,
-            pmpn,
-            want_pmpn,
-        })
+        self.submit_typed(&Request::ShardReverseTopk { q, k, update, trace, pmpn, want_pmpn })
     }
 
     /// [`Self::submit`] with a typed handle for a forward top-k search.
@@ -529,9 +502,7 @@ impl Client {
     ) -> Result<Vec<WireQueryResult>, ServerError> {
         let pending: Vec<Pending<Response>> = queries
             .iter()
-            .map(|&(q, k)| {
-                self.submit(&Request::ReverseTopk { q, k, update, trace: false, approx: None })
-            })
+            .map(|&(q, k)| self.submit(&Request::ReverseTopk { q, k, update, trace: false }))
             .collect::<Result<_, _>>()?;
         // Collect the whole burst first — retrying while later submissions
         // are still in flight could bounce off the depth cap again.
@@ -606,23 +577,6 @@ impl Client {
         update: bool,
     ) -> Result<WireQueryResult, ServerError> {
         let pending = self.submit_reverse_topk_traced(q, k, update)?;
-        self.wait(pending)
-    }
-
-    /// [`Self::reverse_topk`] through the approximate screen (wire v8):
-    /// candidates farther than `approx.epsilon` from their top-k decision
-    /// boundary are classified by the bidirectional estimator; only the
-    /// ε-band falls back to exact refinement. The answer's `approx` field
-    /// reports the usage split.
-    pub fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<WireQueryResult, ServerError> {
-        let pending = self.submit_reverse_topk_approx(q, k, update, trace, approx)?;
         self.wait(pending)
     }
 
@@ -754,25 +708,12 @@ impl RtkService for Client {
         self.wait(pending).map_err(transport)
     }
 
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        Client::reverse_topk_approx(self, q, k, update, trace, approx).map_err(transport)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn shard_reverse_topk_ext(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
@@ -782,7 +723,6 @@ impl RtkService for Client {
                 k,
                 update,
                 trace,
-                approx,
                 pmpn.map(<[f64]>::to_vec),
                 want_pmpn,
             )

@@ -40,17 +40,6 @@ pub struct ServerMetrics {
     hedged_requests: AtomicU64,
     /// Router only: shard calls transparently retried on another replica.
     failovers: AtomicU64,
-    /// Queries answered through the approximate screen (wire v8).
-    approx_queries: AtomicU64,
-    /// Candidates the bidirectional estimator classified without exact
-    /// refinement, summed over approximate queries.
-    approx_estimated: AtomicU64,
-    /// Candidates that fell inside the ε-band and took exact refinement,
-    /// summed over approximate queries.
-    approx_exact_refined: AtomicU64,
-    /// Forward walks spent by the estimator, summed over approximate
-    /// queries.
-    approx_walks: AtomicU64,
     latency: [Mutex<LatencyHistogram>; REQUEST_KINDS],
 }
 
@@ -76,10 +65,6 @@ impl ServerMetrics {
             inflight_rejections: AtomicU64::new(0),
             hedged_requests: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            approx_queries: AtomicU64::new(0),
-            approx_estimated: AtomicU64::new(0),
-            approx_exact_refined: AtomicU64::new(0),
-            approx_walks: AtomicU64::new(0),
             latency: std::array::from_fn(|_| Mutex::new(LatencyHistogram::new())),
         }
     }
@@ -119,14 +104,6 @@ impl ServerMetrics {
 
     pub(crate) fn record_failover(&self) {
         self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds one approximate query's usage report into the counters.
-    pub(crate) fn record_approx(&self, estimated: u64, exact_refined: u64, walks: u64) {
-        self.approx_queries.fetch_add(1, Ordering::Relaxed);
-        self.approx_estimated.fetch_add(estimated, Ordering::Relaxed);
-        self.approx_exact_refined.fetch_add(exact_refined, Ordering::Relaxed);
-        self.approx_walks.fetch_add(walks, Ordering::Relaxed);
     }
 
     /// Marks one request entering the pipeline (accepted off the wire,
@@ -216,10 +193,6 @@ impl ServerMetrics {
             shard_nodes,
             shard_bytes,
             kind_latency,
-            approx_queries: self.approx_queries.load(Ordering::Relaxed),
-            approx_estimated: self.approx_estimated.load(Ordering::Relaxed),
-            approx_exact_refined: self.approx_exact_refined.load(Ordering::Relaxed),
-            approx_walks: self.approx_walks.load(Ordering::Relaxed),
         }
     }
 
@@ -328,30 +301,6 @@ impl ServerMetrics {
             "rtk_failovers_total",
             "Shard calls transparently retried on another replica.",
             self.failovers.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rtk_approx_queries_total",
-            "Queries answered through the approximate screen.",
-            self.approx_queries.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rtk_approx_estimated_total",
-            "Candidates classified by the bidirectional estimator.",
-            self.approx_estimated.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rtk_approx_exact_refined_total",
-            "Candidates inside the epsilon band that took exact refinement.",
-            self.approx_exact_refined.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rtk_approx_walks_total",
-            "Forward walks spent by the approximate estimator.",
-            self.approx_walks.load(Ordering::Relaxed),
         );
         gauge(
             &mut out,

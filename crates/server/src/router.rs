@@ -71,7 +71,7 @@ use crate::wire::{Request, Response, WireQueryResult, WireUpdateResult, DEFAULT_
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtk_api::service::{dispatch_request, RtkService, ServiceError, ServiceResult};
-use rtk_api::{ApproxParams, StatsSnapshot, WireShardResult, WireTopk};
+use rtk_api::{StatsSnapshot, WireShardResult, WireTopk};
 use rtk_index::ShardMap;
 use rtk_obs::{log_event, Json, Level, TraceSpan};
 use rtk_sparse::LatencyHistogram;
@@ -109,12 +109,6 @@ pub struct RouterConfig {
     /// backend can pin a router worker. Generous by default: a slow query
     /// is not a dead backend.
     pub backend_io_timeout: Duration,
-    /// Fan out serially (one shard at a time, in shard order) instead of
-    /// concurrently. Answers are bitwise identical either way — this knob
-    /// exists so `router_study` can measure what concurrency buys, and as
-    /// an ops escape hatch for debugging a misbehaving backend. Serial
-    /// fan-out never hedges (there is no concurrent wait to race).
-    pub serial_fanout: bool,
     /// Latency quantile of past shard calls after which a frozen call
     /// hedges to a second healthy replica (`0.0` disables hedging).
     /// Requires at least two healthy replicas on the shard to fire.
@@ -144,7 +138,6 @@ impl Default for RouterConfig {
             auth_token: None,
             connect_timeout: Duration::from_secs(5),
             backend_io_timeout: Duration::from_secs(120),
-            serial_fanout: false,
             hedge_quantile: 0.99,
             hedge_min_delay: Duration::from_millis(10),
             probe_interval: Duration::from_millis(250),
@@ -255,7 +248,6 @@ struct RouterCtx {
     auth_token: Option<String>,
     connect_timeout: Duration,
     backend_io_timeout: Duration,
-    serial_fanout: bool,
     hedge_quantile: f64,
     hedge_min_delay: Duration,
     probe_interval: Duration,
@@ -475,7 +467,6 @@ impl Router {
             auth_token: config.auth_token,
             connect_timeout: config.connect_timeout,
             backend_io_timeout: config.backend_io_timeout,
-            serial_fanout: config.serial_fanout,
             hedge_quantile: config.hedge_quantile,
             hedge_min_delay: config.hedge_min_delay,
             probe_interval: config.probe_interval,
@@ -949,41 +940,31 @@ impl RouterCtx {
     /// Issues one shard-scoped query to **every shard concurrently** (one
     /// pipelined submit per shard, all in flight at once), then collects
     /// the responses in deterministic shard order — hedging and failing
-    /// over per shard as needed. With [`RouterConfig::serial_fanout`] each
-    /// shard is called in turn — same responses, one-shard wall time
-    /// multiplied by the shard count.
+    /// over per shard as needed.
     ///
     /// `trace_from` is the root instant of a traced query: when set, the
     /// backend request carries the trace flag and each [`ShardCall`]
     /// records its submit/answer offsets. Untraced fan-outs (`None`) take
     /// zero timing syscalls beyond what the untraced path always took.
-    fn fan_out(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace_from: Option<Instant>,
-        approx: Option<ApproxParams>,
-    ) -> Vec<ShardCall> {
+    fn fan_out(&self, q: u32, k: u32, update: bool, trace_from: Option<Instant>) -> Vec<ShardCall> {
         let trace = trace_from.is_some();
-        let make = |approx: Option<ApproxParams>, pmpn: Option<Vec<f64>>, want_pmpn: bool| {
-            Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn }
+        let make = |pmpn: Option<Vec<f64>>, want_pmpn: bool| Request::ShardReverseTopk {
+            q,
+            k,
+            update,
+            trace,
+            pmpn,
+            want_pmpn,
         };
-        // PMPN shipping (exact queries only — an approximate screen never
-        // solves the full system, so there is nothing to share): the first
-        // shard solves the shard-independent PMPN vector and returns it;
-        // every remaining shard reuses it instead of re-solving. The trade
-        // is one shard's solve serialized ahead of the rest against
-        // (shards-1) redundant solves skipped.
-        if approx.is_none() && self.shards.len() > 1 && self.pmpn_fits_frame() {
+        // PMPN shipping: the first shard solves the shard-independent PMPN
+        // vector and returns it; every remaining shard reuses it instead of
+        // re-solving. The trade is one shard's solve serialized ahead of
+        // the rest against (shards-1) redundant solves skipped.
+        if self.shards.len() > 1 && self.pmpn_fits_frame() {
             // Wave 1 rides the same hedged/failover machinery as any other
             // shard call — a stalled replica still hedges here.
-            let mut calls = self.fan_out_request(
-                &make(None, None, true),
-                update,
-                trace_from,
-                &self.shards[..1],
-            );
+            let mut calls =
+                self.fan_out_request(&make(None, true), update, trace_from, &self.shards[..1]);
             // A backend that answered without the vector (or failed) simply
             // leaves the remaining shards solving for themselves.
             let pmpn = match calls.first().map(|c| &c.outcome) {
@@ -991,14 +972,14 @@ impl RouterCtx {
                 _ => None,
             };
             calls.extend(self.fan_out_request(
-                &make(None, pmpn, false),
+                &make(pmpn, false),
                 update,
                 trace_from,
                 &self.shards[1..],
             ));
             return calls;
         }
-        self.fan_out_request(&make(approx, None, false), update, trace_from, &self.shards)
+        self.fan_out_request(&make(None, false), update, trace_from, &self.shards)
     }
 
     /// Whether the full PMPN vector (8 bytes per node plus framing slack)
@@ -1008,8 +989,8 @@ impl RouterCtx {
         bytes <= u64::from(self.max_frame_bytes)
     }
 
-    /// The concurrent (or serial) fan-out of one prepared request across
-    /// `sets`, collecting responses in deterministic shard order.
+    /// The concurrent fan-out of one prepared request across `sets`,
+    /// collecting responses in deterministic shard order.
     fn fan_out_request(
         &self,
         request: &Request,
@@ -1020,17 +1001,6 @@ impl RouterCtx {
         let request = request.clone();
         let frozen = !update;
         let offset = || trace_from.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        if self.serial_fanout {
-            return sets
-                .iter()
-                .map(|set| {
-                    let mut meta = CallMeta::default();
-                    let submit_offset = offset();
-                    let outcome = self.set_call(set, &request, frozen, false, &mut meta);
-                    ShardCall { outcome, meta, submit_offset, answer_offset: offset() }
-                })
-                .collect();
-        }
         // Submit phase: one frame write per shard, on each shard's chosen
         // replica — every shard is computing its slice while the later
         // submits are still going out.
@@ -1111,22 +1081,7 @@ impl RouterCtx {
     /// The concurrent fan-out + shard-order merge of one reverse top-k
     /// query.
     fn reverse_topk(&self, q: u32, k: u32, update: bool) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, false, None)
-    }
-
-    /// [`Self::reverse_topk`] with the approximate-screen knob forwarded to
-    /// every shard. The per-shard usage reports are summed into the merged
-    /// answer's `approx_stats` tail and into the router's `rtk_approx_*`
-    /// counters.
-    fn reverse_topk_approx(
-        &self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, trace, Some(approx))
+        self.reverse_topk_inner(q, k, update, false)
     }
 
     /// [`Self::reverse_topk`] with trace stitching: the merged answer
@@ -1135,7 +1090,7 @@ impl RouterCtx {
     /// backend's own engine sub-trace) plus a `merge` span. The fan-out
     /// and merge are byte-identical to the untraced path.
     fn reverse_topk_traced(&self, q: u32, k: u32, update: bool) -> Result<WireQueryResult, String> {
-        self.reverse_topk_inner(q, k, update, true, None)
+        self.reverse_topk_inner(q, k, update, true)
     }
 
     fn reverse_topk_inner(
@@ -1144,7 +1099,6 @@ impl RouterCtx {
         k: u32,
         update: bool,
         traced: bool,
-        approx: Option<ApproxParams>,
     ) -> Result<WireQueryResult, String> {
         let started = Instant::now();
         let mut merged = WireQueryResult {
@@ -1158,9 +1112,8 @@ impl RouterCtx {
             refine_iterations: 0,
             server_seconds: 0.0,
             trace: None,
-            approx: None,
         };
-        let calls = self.fan_out(q, k, update, traced.then_some(started), approx);
+        let calls = self.fan_out(q, k, update, traced.then_some(started));
         // The merge starts once every shard's answer is in hand (fan_out
         // waits in shard order); only traced queries pay the clock read.
         let merge_start = if traced { started.elapsed().as_secs_f64() } else { 0.0 };
@@ -1205,12 +1158,6 @@ impl RouterCtx {
                     merged.hits += s.result.hits;
                     merged.refined_nodes += s.result.refined_nodes;
                     merged.refine_iterations += s.result.refine_iterations;
-                    if let Some(a) = s.result.approx {
-                        let m = merged.approx.get_or_insert_with(Default::default);
-                        m.estimated += a.estimated;
-                        m.exact_refined += a.exact_refined;
-                        m.walks += a.walks;
-                    }
                 }
                 Response::Error { message, .. } => {
                     return Err(format!("shard {}: {message}", set.shard_id));
@@ -1227,19 +1174,7 @@ impl RouterCtx {
             merge.start_seconds = merge_start;
             root.children = shard_spans;
             root.children.push(merge);
-            if let Some(a) = &merged.approx {
-                let mut span = TraceSpan::new("approx", 0.0);
-                span.start_seconds = merged.server_seconds;
-                span = span
-                    .annotate("estimated", a.estimated.to_string())
-                    .annotate("exact_refined", a.exact_refined.to_string())
-                    .annotate("walks", a.walks.to_string());
-                root.children.push(span);
-            }
             merged.trace = Some(root);
-        }
-        if let Some(a) = &merged.approx {
-            self.metrics.record_approx(a.estimated, a.exact_refined, a.walks);
         }
         Ok(merged)
     }
@@ -1458,19 +1393,6 @@ impl RtkService for RouterService<'_> {
         update: bool,
     ) -> ServiceResult<rtk_api::WireQueryResult> {
         self.0.reverse_topk_traced(q, k, update).map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: ApproxParams,
-    ) -> ServiceResult<rtk_api::WireQueryResult> {
-        self.0
-            .reverse_topk_approx(q, k, update, trace, approx)
-            .map_err(ServiceError::Engine)
     }
 
     fn shard_reverse_topk(

@@ -121,10 +121,7 @@ struct ServerService<'a>(&'a ServerCtx);
 
 impl RtkService for ServerService<'_> {
     fn reverse_topk(&mut self, q: u32, k: u32, update: bool) -> ServiceResult<WireQueryResult> {
-        self.0
-            .shared
-            .reverse_topk(q, k, update, false, None)
-            .map_err(ServiceError::Engine)
+        self.0.shared.reverse_topk(q, k, update, false).map_err(ServiceError::Engine)
     }
 
     fn reverse_topk_traced(
@@ -133,29 +130,7 @@ impl RtkService for ServerService<'_> {
         k: u32,
         update: bool,
     ) -> ServiceResult<WireQueryResult> {
-        self.0
-            .shared
-            .reverse_topk(q, k, update, true, None)
-            .map_err(ServiceError::Engine)
-    }
-
-    fn reverse_topk_approx(
-        &mut self,
-        q: u32,
-        k: u32,
-        update: bool,
-        trace: bool,
-        approx: rtk_api::ApproxParams,
-    ) -> ServiceResult<WireQueryResult> {
-        let wire = self
-            .0
-            .shared
-            .reverse_topk(q, k, update, trace, Some(approx))
-            .map_err(ServiceError::Engine)?;
-        if let Some(stats) = &wire.approx {
-            self.0.metrics.record_approx(stats.estimated, stats.exact_refined, stats.walks);
-        }
-        Ok(wire)
+        self.0.shared.reverse_topk(q, k, update, true).map_err(ServiceError::Engine)
     }
 
     fn shard_reverse_topk(
@@ -166,7 +141,7 @@ impl RtkService for ServerService<'_> {
     ) -> ServiceResult<WireShardResult> {
         self.0
             .shared
-            .shard_reverse_topk(q, k, update, false, None, None, false)
+            .shard_reverse_topk(q, k, update, false, None, false)
             .map_err(ServiceError::Engine)
     }
 
@@ -178,30 +153,23 @@ impl RtkService for ServerService<'_> {
     ) -> ServiceResult<WireShardResult> {
         self.0
             .shared
-            .shard_reverse_topk(q, k, update, true, None, None, false)
+            .shard_reverse_topk(q, k, update, true, None, false)
             .map_err(ServiceError::Engine)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn shard_reverse_topk_ext(
         &mut self,
         q: u32,
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<rtk_api::ApproxParams>,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> ServiceResult<WireShardResult> {
-        let wire = self
-            .0
+        self.0
             .shared
-            .shard_reverse_topk(q, k, update, trace, approx, pmpn, want_pmpn)
-            .map_err(ServiceError::Engine)?;
-        if let Some(stats) = &wire.result.approx {
-            self.0.metrics.record_approx(stats.estimated, stats.exact_refined, stats.walks);
-        }
-        Ok(wire)
+            .shard_reverse_topk(q, k, update, trace, pmpn, want_pmpn)
+            .map_err(ServiceError::Engine)
     }
 
     fn topk(&mut self, u: u32, k: u32, early: bool) -> ServiceResult<WireTopk> {

@@ -22,7 +22,7 @@
 //! `persist`, `ping`, `shutdown`); full-index requests against it are
 //! engine errors, and vice versa.
 
-use crate::wire::{ApproxParams, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
+use crate::wire::{WireQueryResult, WireShardResult, WireTopk, WireUpdateResult};
 use rtk_api::service::to_wire;
 use rtk_core::{ReverseTopkEngine, ShardEngine, UpdateRecord};
 use rtk_graph::NodeId;
@@ -113,11 +113,10 @@ impl SharedEngine {
         }
     }
 
-    fn options(&self, update: bool, approx: Option<ApproxParams>) -> QueryOptions {
+    fn options(&self, update: bool) -> QueryOptions {
         QueryOptions {
             update_index: update,
             query_threads: self.query_threads,
-            approx,
             ..Default::default()
         }
     }
@@ -146,17 +145,16 @@ impl SharedEngine {
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
     ) -> Result<WireQueryResult, String> {
         let started = Instant::now();
         let lock = self.full()?;
         let result = if update {
             let mut engine = lock.write().expect("engine lock");
-            let opts = self.options(true, approx);
+            let opts = self.options(true);
             engine.query_with(NodeId(q), k as usize, &opts).map_err(|e| e.to_string())?
         } else {
             let engine = lock.read().expect("engine lock");
-            let opts = self.options(false, approx);
+            let opts = self.options(false);
             let mut results = engine
                 .query_batch(&[(NodeId(q), k as usize)], &opts)
                 .map_err(|e| e.to_string())?;
@@ -171,14 +169,12 @@ impl SharedEngine {
 
     /// The shard-scoped slice of one reverse top-k query (wire v3). Only a
     /// shard-only backend answers it: a router fans these out and merges.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn shard_reverse_topk(
         &self,
         q: u32,
         k: u32,
         update: bool,
         trace: bool,
-        approx: Option<ApproxParams>,
         pmpn: Option<&[f64]>,
         want_pmpn: bool,
     ) -> Result<WireShardResult, String> {
@@ -194,7 +190,7 @@ impl SharedEngine {
                 .query_shard_update_with_pmpn(
                     NodeId(q),
                     k as usize,
-                    &self.options(true, approx),
+                    &self.options(true),
                     pmpn,
                     want_pmpn,
                 )
@@ -207,7 +203,7 @@ impl SharedEngine {
                 .query_shard_frozen_with_pmpn(
                     NodeId(q),
                     k as usize,
-                    &self.options(false, approx),
+                    &self.options(false),
                     pmpn,
                     want_pmpn,
                 )
@@ -385,7 +381,7 @@ impl SharedEngine {
     pub(crate) fn batch(&self, queries: &[(u32, u32)]) -> Result<Vec<WireQueryResult>, String> {
         let lock = self.full()?;
         let engine = lock.read().expect("engine lock");
-        let opts = self.options(false, None);
+        let opts = self.options(false);
         let raw: Vec<(NodeId, usize)> =
             queries.iter().map(|&(q, k)| (NodeId(q), k as usize)).collect();
         let results = engine.query_batch(&raw, &opts).map_err(|e| e.to_string())?;

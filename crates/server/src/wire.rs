@@ -38,10 +38,9 @@ use rtk_sparse::codec::{self, DecodeError};
 use std::io::{Cursor, Read, Write};
 
 pub use rtk_api::model::{
-    ApproxParams, Request, Response, StatsSnapshot, WireApproxStats, WireQueryResult,
-    WireShardResult, WireTopk, WireUpdateResult, MAX_AUTH_TOKEN_BYTES, MAX_BATCH_QUERIES,
-    MAX_PERSIST_PATH_BYTES, STATUS_BUSY, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_PROTOCOL_ERROR,
-    STATUS_UNAUTHORIZED,
+    Request, Response, StatsSnapshot, WireQueryResult, WireShardResult, WireTopk, WireUpdateResult,
+    MAX_AUTH_TOKEN_BYTES, MAX_BATCH_QUERIES, MAX_PERSIST_PATH_BYTES, STATUS_BUSY,
+    STATUS_ENGINE_ERROR, STATUS_OK, STATUS_PROTOCOL_ERROR, STATUS_UNAUTHORIZED,
 };
 
 /// Magic tag opening every frame.
@@ -63,15 +62,16 @@ pub const WIRE_MAGIC: &[u8; 8] = b"RTKWIRE1";
 /// digest, and the `add_edge` / `remove_edge` counters + `index_digest`
 /// field of the stats snapshot; 8 generalized the trailing trace flag of
 /// `reverse_topk` / `shard_reverse_topk` requests into a **tail-flags
-/// word** carrying the optional approx knob (ε / walks / seed), the
-/// optional router-shipped PMPN vector, and the `want_pmpn` bit — a
-/// trace-only tail still encodes as the single word `1`, so every v7
-/// request frame is byte-identical under v8; responses gained the same
-/// flags word ahead of their optional tail sections (trace, approx
-/// counters, returned PMPN vector), and the stats snapshot gained its
-/// versioned approx-counter tail — untraced non-approx frames are
-/// byte-identical in shape to v7).
-pub const WIRE_VERSION: u32 = 8;
+/// word** carrying the optional router-shipped PMPN vector and the
+/// `want_pmpn` bit — a trace-only tail still encodes as the single word
+/// `1`, so every v7 request frame is byte-identical under v8; responses
+/// gained the same flags word ahead of their optional tail sections
+/// (trace, returned PMPN vector); 8 also carried an approximate-screen
+/// section under tail bit `1 << 1` and a versioned stats-snapshot tail;
+/// 9 removed both — the bit is retired and rejected, and the stats
+/// snapshot ends at its per-kind latency records again. Untraced frames
+/// without a shipped PMPN vector are byte-identical in shape to v7).
+pub const WIRE_VERSION: u32 = 9;
 /// Default per-frame payload cap (16 MiB) — generous for batch responses,
 /// small enough that a malicious length prefix cannot balloon memory.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -99,10 +99,11 @@ const TAG_REMOVE_EDGE: u32 = 9;
 /// a payload that ends at the fixed fields means "no flags set", which
 /// keeps plain v7 frames byte-identical — and a trace-only tail is the
 /// word `1`, exactly the byte shape of the v7 trace flag.
+///
+/// Bit `1 << 1` is retired: wire v8 used it for the approximate-screen
+/// sections. No allowed mask includes it, so decoders reject it like any
+/// unknown bit, and it is never reused.
 const FLAG_TRACE: u32 = 1;
-/// Approx knob on requests (`f64` ε, `u32` walks, `u64` seed); approx
-/// counter block on responses (3 × `u64`).
-const FLAG_APPROX: u32 = 1 << 1;
 /// PMPN vector section (`u64` count + that many `f64`s): router-shipped
 /// on shard requests, backend-returned on shard responses.
 const FLAG_PMPN: u32 = 1 << 2;
@@ -166,7 +167,7 @@ pub fn encode_request_authed(req: &Request, token: &[u8]) -> Vec<u8> {
     codec::write_bytes(w, token).unwrap();
     match req {
         Request::Ping => codec::write_u32(w, TAG_PING).unwrap(),
-        Request::ReverseTopk { q, k, update, trace, approx } => {
+        Request::ReverseTopk { q, k, update, trace } => {
             codec::write_u32(w, TAG_REVERSE_TOPK).unwrap();
             codec::write_u32(w, *q).unwrap();
             codec::write_u32(w, *k).unwrap();
@@ -174,14 +175,14 @@ pub fn encode_request_authed(req: &Request, token: &[u8]) -> Vec<u8> {
             // The tail-flags word is trailing-optional: plain requests
             // omit it entirely (byte-identical to v5..v7), and trace-only
             // requests write the word `1` — the v7 trace-flag bytes.
-            write_request_tail(w, *trace, approx.as_ref(), None, false);
+            write_request_tail(w, *trace, None, false);
         }
-        Request::ShardReverseTopk { q, k, update, trace, approx, pmpn, want_pmpn } => {
+        Request::ShardReverseTopk { q, k, update, trace, pmpn, want_pmpn } => {
             codec::write_u32(w, TAG_SHARD_REVERSE_TOPK).unwrap();
             codec::write_u32(w, *q).unwrap();
             codec::write_u32(w, *k).unwrap();
             codec::write_u32(w, u32::from(*update)).unwrap();
-            write_request_tail(w, *trace, approx.as_ref(), pmpn.as_deref(), *want_pmpn);
+            write_request_tail(w, *trace, pmpn.as_deref(), *want_pmpn);
         }
         Request::Topk { u, k, early } => {
             codec::write_u32(w, TAG_TOPK).unwrap();
@@ -232,24 +233,20 @@ pub fn decode_request(payload: &[u8]) -> Result<(Vec<u8>, Request), DecodeError>
             let q = codec::read_u32(&mut r)?;
             let k = codec::read_u32(&mut r)?;
             let update = codec::read_u32(&mut r)? != 0;
-            let tail = read_request_tail(&mut r, payload.len(), FLAG_TRACE | FLAG_APPROX)?;
-            Request::ReverseTopk { q, k, update, trace: tail.trace, approx: tail.approx }
+            let tail = read_request_tail(&mut r, payload.len(), FLAG_TRACE)?;
+            Request::ReverseTopk { q, k, update, trace: tail.trace }
         }
         TAG_SHARD_REVERSE_TOPK => {
             let q = codec::read_u32(&mut r)?;
             let k = codec::read_u32(&mut r)?;
             let update = codec::read_u32(&mut r)? != 0;
-            let tail = read_request_tail(
-                &mut r,
-                payload.len(),
-                FLAG_TRACE | FLAG_APPROX | FLAG_PMPN | FLAG_WANT_PMPN,
-            )?;
+            let tail =
+                read_request_tail(&mut r, payload.len(), FLAG_TRACE | FLAG_PMPN | FLAG_WANT_PMPN)?;
             Request::ShardReverseTopk {
                 q,
                 k,
                 update,
                 trace: tail.trace,
-                approx: tail.approx,
                 pmpn: tail.pmpn,
                 want_pmpn: tail.want_pmpn,
             }
@@ -401,9 +398,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ServerError> {
         TAG_PING => Response::Pong,
         TAG_REVERSE_TOPK => {
             let mut result = read_query_result(&mut r, payload.len())?;
-            let tail = read_result_tail(&mut r, payload.len(), FLAG_TRACE | FLAG_APPROX)?;
+            let tail = read_result_tail(&mut r, payload.len(), FLAG_TRACE)?;
             result.trace = tail.trace;
-            result.approx = tail.approx;
             Response::ReverseTopk(result)
         }
         TAG_TOPK => {
@@ -449,10 +445,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ServerError> {
             let node_lo = codec::read_u32(&mut r)?;
             let node_hi = codec::read_u32(&mut r)?;
             let mut result = read_query_result(&mut r, payload.len())?;
-            let tail =
-                read_result_tail(&mut r, payload.len(), FLAG_TRACE | FLAG_APPROX | FLAG_PMPN)?;
+            let tail = read_result_tail(&mut r, payload.len(), FLAG_TRACE | FLAG_PMPN)?;
             result.trace = tail.trace;
-            result.approx = tail.approx;
             Response::ShardReverseTopk(WireShardResult {
                 shard_id,
                 node_lo,
@@ -474,7 +468,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ServerError> {
 #[derive(Default)]
 struct RequestTail {
     trace: bool,
-    approx: Option<ApproxParams>,
     pmpn: Option<Vec<f64>>,
     want_pmpn: bool,
 }
@@ -482,19 +475,10 @@ struct RequestTail {
 /// Writes the trailing-optional tail of a query request: nothing when no
 /// feature is engaged, otherwise the flags word followed by the announced
 /// sections in bit order.
-fn write_request_tail<W: Write>(
-    w: &mut W,
-    trace: bool,
-    approx: Option<&ApproxParams>,
-    pmpn: Option<&[f64]>,
-    want_pmpn: bool,
-) {
+fn write_request_tail<W: Write>(w: &mut W, trace: bool, pmpn: Option<&[f64]>, want_pmpn: bool) {
     let mut flags = 0u32;
     if trace {
         flags |= FLAG_TRACE;
-    }
-    if approx.is_some() {
-        flags |= FLAG_APPROX;
     }
     if pmpn.is_some() {
         flags |= FLAG_PMPN;
@@ -506,11 +490,6 @@ fn write_request_tail<W: Write>(
         return;
     }
     codec::write_u32(w, flags).unwrap();
-    if let Some(a) = approx {
-        codec::write_f64(w, a.epsilon).unwrap();
-        codec::write_u32(w, a.walks).unwrap();
-        codec::write_u64(w, a.seed).unwrap();
-    }
     if let Some(v) = pmpn {
         codec::write_f64_seq(w, v).unwrap();
     }
@@ -535,20 +514,6 @@ fn read_request_tail(
         )));
     }
     let mut tail = RequestTail { trace: flags & FLAG_TRACE != 0, ..RequestTail::default() };
-    if flags & FLAG_APPROX != 0 {
-        let epsilon = codec::read_f64(r)?;
-        // The error budget is a distance: NaN / infinite / negative values
-        // have no meaning and are rejected at the codec so every server
-        // flavor refuses them uniformly. ε = 0 is legal (exact serving).
-        if !epsilon.is_finite() || epsilon < 0.0 {
-            return Err(DecodeError::Corrupt(format!(
-                "approx epsilon must be finite and non-negative, got {epsilon}"
-            )));
-        }
-        let walks = codec::read_u32(r)?;
-        let seed = codec::read_u64(r)?;
-        tail.approx = Some(ApproxParams { epsilon, walks, seed });
-    }
     if flags & FLAG_PMPN != 0 {
         let bound = payload_len as u64 / 8;
         let v = codec::read_f64_seq_bounded(r, bound)?;
@@ -566,7 +531,6 @@ fn read_request_tail(
 #[derive(Default)]
 struct ResultTail {
     trace: Option<rtk_obs::TraceSpan>,
-    approx: Option<WireApproxStats>,
     pmpn: Option<Vec<f64>>,
 }
 
@@ -578,9 +542,6 @@ fn write_result_tail<W: Write>(w: &mut W, r: &WireQueryResult, pmpn: Option<&[f6
     if r.trace.is_some() {
         flags |= FLAG_TRACE;
     }
-    if r.approx.is_some() {
-        flags |= FLAG_APPROX;
-    }
     if pmpn.is_some() {
         flags |= FLAG_PMPN;
     }
@@ -590,11 +551,6 @@ fn write_result_tail<W: Write>(w: &mut W, r: &WireQueryResult, pmpn: Option<&[f6
     codec::write_u32(w, flags).unwrap();
     if let Some(trace) = &r.trace {
         trace.encode(w).unwrap();
-    }
-    if let Some(a) = &r.approx {
-        codec::write_u64(w, a.estimated).unwrap();
-        codec::write_u64(w, a.exact_refined).unwrap();
-        codec::write_u64(w, a.walks).unwrap();
     }
     if let Some(v) = pmpn {
         codec::write_f64_seq(w, v).unwrap();
@@ -624,13 +580,6 @@ fn read_result_tail(
     if flags & FLAG_TRACE != 0 {
         let budget = (payload_len as u64 - r.position()) / rtk_obs::trace::MIN_SPAN_BYTES + 1;
         tail.trace = Some(rtk_obs::TraceSpan::decode_bounded(r, budget)?);
-    }
-    if flags & FLAG_APPROX != 0 {
-        tail.approx = Some(WireApproxStats {
-            estimated: codec::read_u64(r)?,
-            exact_refined: codec::read_u64(r)?,
-            walks: codec::read_u64(r)?,
-        });
     }
     if flags & FLAG_PMPN != 0 {
         let bound = payload_len as u64 / 8;
@@ -681,7 +630,6 @@ fn read_query_result<R: Read>(
         refine_iterations: codec::read_u64(r)?,
         server_seconds: codec::read_f64(r)?,
         trace: None,
-        approx: None,
     })
 }
 
@@ -711,7 +659,6 @@ mod tests {
             refine_iterations: 40,
             server_seconds: 0.0123,
             trace: None,
-            approx: None,
         }
     }
 
@@ -719,14 +666,13 @@ mod tests {
     fn requests_round_trip() {
         let reqs = [
             Request::Ping,
-            Request::ReverseTopk { q: 7, k: 10, update: true, trace: false, approx: None },
-            Request::ReverseTopk { q: 0, k: 1, update: false, trace: true, approx: None },
+            Request::ReverseTopk { q: 7, k: 10, update: true, trace: false },
+            Request::ReverseTopk { q: 0, k: 1, update: false, trace: true },
             Request::ShardReverseTopk {
                 q: 42,
                 k: 10,
                 update: true,
                 trace: false,
-                approx: None,
                 pmpn: None,
                 want_pmpn: false,
             },
@@ -735,7 +681,6 @@ mod tests {
                 k: 2,
                 update: false,
                 trace: true,
-                approx: None,
                 pmpn: None,
                 want_pmpn: false,
             },
@@ -759,7 +704,7 @@ mod tests {
 
     #[test]
     fn auth_tokens_round_trip_and_are_bounded() {
-        let req = Request::ReverseTopk { q: 1, k: 2, update: false, trace: false, approx: None };
+        let req = Request::ReverseTopk { q: 1, k: 2, update: false, trace: false };
         let payload = encode_request_authed(&req, b"s3cret");
         let (token, back) = decode_request(&payload).unwrap();
         assert_eq!(token, b"s3cret");
@@ -814,13 +759,8 @@ mod tests {
 
     #[test]
     fn frames_round_trip_with_their_request_id() {
-        let payload = encode_request(&Request::ReverseTopk {
-            q: 9,
-            k: 4,
-            update: false,
-            trace: false,
-            approx: None,
-        });
+        let payload =
+            encode_request(&Request::ReverseTopk { q: 9, k: 4, update: false, trace: false });
         for id in [0u64, 1, 7, u64::MAX] {
             let mut buf = Vec::new();
             write_frame(&mut buf, id, &payload).unwrap();
@@ -961,21 +901,11 @@ mod tests {
     fn untraced_frames_carry_zero_trace_overhead() {
         // An untraced v6 request is byte-shaped exactly like v5: empty
         // token (8) + tag (4) + q/k/update (12) = 24 bytes, no flag.
-        let plain = encode_request(&Request::ReverseTopk {
-            q: 7,
-            k: 10,
-            update: true,
-            trace: false,
-            approx: None,
-        });
+        let plain =
+            encode_request(&Request::ReverseTopk { q: 7, k: 10, update: true, trace: false });
         assert_eq!(plain.len(), 24);
-        let traced = encode_request(&Request::ReverseTopk {
-            q: 7,
-            k: 10,
-            update: true,
-            trace: true,
-            approx: None,
-        });
+        let traced =
+            encode_request(&Request::ReverseTopk { q: 7, k: 10, update: true, trace: true });
         assert_eq!(traced.len(), plain.len() + 4);
         assert_eq!(&traced[..plain.len()], &plain[..]);
 
@@ -1023,13 +953,8 @@ mod tests {
     #[test]
     fn trace_flag_and_section_are_bounded() {
         // A trace flag other than 0/1 is corrupt.
-        let mut payload = encode_request(&Request::ReverseTopk {
-            q: 1,
-            k: 2,
-            update: false,
-            trace: false,
-            approx: None,
-        });
+        let mut payload =
+            encode_request(&Request::ReverseTopk { q: 1, k: 2, update: false, trace: false });
         codec::write_u32(&mut payload, 7).unwrap();
         assert!(matches!(decode_request(&payload).unwrap_err(), DecodeError::Corrupt(_)));
 

@@ -165,7 +165,6 @@ fn reversing_server(n: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<
                 refine_iterations: 0,
                 server_seconds: 0.0,
                 trace: None,
-                approx: None,
             });
             wire::write_frame(&mut stream, id, &wire::encode_response(&resp)).unwrap();
         }

@@ -14,7 +14,7 @@
 //!   (paper §4.2.1, Theorem 2);
 //! * the **online query algorithm** with staircase upper bounds, candidate
 //!   refinement and dynamic index updates (paper §4.2.2–4.2.3);
-//! * exact baselines (IBF / FBF), Monte Carlo estimators, and deterministic
+//! * exact baselines (IBF / FBF) and deterministic
 //!   synthetic dataset generators mirroring the paper's evaluation graphs.
 //!
 //! This facade crate re-exports the whole public API; see the `examples/`
@@ -148,16 +148,15 @@
 //! `ShardSlice`) and answers shard-scoped requests; `rtk router
 //! --backends …` owns the shard map, fans each query out **concurrently**
 //! (all backends in flight at once over pipelined connections, merged in
-//! deterministic shard order; `--serial-fanout` keeps the old walk for
-//! comparison), and merges the
-//! partial answers — bitwise equal to a single-process server, so the
+//! deterministic shard order), and merges the partial answers — bitwise
+//! equal to a single-process server, so the
 //! determinism contract now reads **{threads, shards, processes} may
 //! only change wall time, never answers** (pinned by
 //! `tests/router_equivalence.rs`). The router retries and marks
 //! unreachable backends `degraded` in `stats` instead of serving partial
 //! answers. See `docs/ARCHITECTURE.md` for the tier diagram and
 //! `cargo run --release -p rtk-bench --bin router_study` for the
-//! single-vs-routed, serial-vs-concurrent sweep (`BENCH_router.json`).
+//! single-vs-routed sweep over 1, 2 and 4 backends (`BENCH_router.json`).
 //!
 //! ```
 //! use reverse_topk_rwr::prelude::*;

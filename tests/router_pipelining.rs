@@ -8,8 +8,8 @@
 //!   concurrently — under v3 a connection pinned its worker, so this exact
 //!   topology (backend workers < connections) deadlocked and forced the
 //!   `--workers ≥ router workers + 1` ops rule that this PR deletes;
-//! * serial and concurrent fan-out produce bitwise-identical answers (the
-//!   knob is wall-time only);
+//! * a three-backend router answers bitwise-identically to the direct,
+//!   unsharded engine;
 //! * a pipelined client driving the router keeps answers bitwise equal to
 //!   serial queries against a single-process server.
 
@@ -17,7 +17,7 @@ use rtk_core::{ReverseTopkEngine, ShardEngine};
 use rtk_graph::gen::{rmat, RmatConfig};
 use rtk_graph::DiGraph;
 use rtk_index::ShardSlice;
-use rtk_server::{Client, Router, RouterConfig, Server, ServerConfig, ServerHandle};
+use rtk_server::{Client, Router, RouterConfig, RtkService, Server, ServerConfig, ServerHandle};
 
 const NODES: usize = 220;
 const EDGES: usize = 1000;
@@ -110,31 +110,24 @@ fn one_worker_backends_serve_router_and_admin_clients_concurrently() {
 }
 
 #[test]
-fn serial_and_concurrent_fanout_answer_bitwise_identically() {
+fn three_backend_fanout_matches_the_direct_engine_bitwise() {
     let backends = 3usize;
     let sharded = build_engine(backends);
     let backend_handles: Vec<ServerHandle> =
         (0..backends).map(|sid| spawn_backend(&sharded, sid)).collect();
     let addrs: Vec<String> = backend_handles.iter().map(|h| h.addr().to_string()).collect();
-
-    // Two routers over the *same* backends — one per fan-out mode.
-    let concurrent = Router::bind(&addrs, "127.0.0.1:0", RouterConfig::default())
-        .expect("bind concurrent router")
+    let router = Router::bind(&addrs, "127.0.0.1:0", RouterConfig::default())
+        .expect("bind router")
         .spawn();
-    let serial = Router::bind(
-        &addrs,
-        "127.0.0.1:0",
-        RouterConfig { serial_fanout: true, ..RouterConfig::default() },
-    )
-    .expect("bind serial router")
-    .spawn();
 
-    let mut via_concurrent = Client::connect(concurrent.addr()).expect("connect concurrent");
-    let mut via_serial = Client::connect(serial.addr()).expect("connect serial");
+    // The reference answers come from an in-process, unsharded engine: no
+    // socket, no fan-out, no merge.
+    let mut direct = build_engine(1);
+    let mut via_router = Client::connect(router.addr()).expect("connect router");
     for &(q, k) in &queries() {
-        let a = via_concurrent.reverse_topk(q, k, false).expect("concurrent query");
-        let b = via_serial.reverse_topk(q, k, false).expect("serial query");
-        assert_eq!(a.nodes, b.nodes, "q={q} k={k}: fan-out mode changed the answer");
+        let a = via_router.reverse_topk(q, k, false).expect("routed query");
+        let b = RtkService::reverse_topk(&mut direct, q, k, false).expect("direct query");
+        assert_eq!(a.nodes, b.nodes, "q={q} k={k}: the routed tier changed the answer");
         assert_eq!(a.candidates, b.candidates, "q={q} k={k}");
         assert_eq!(a.hits, b.hits, "q={q} k={k}");
         for (x, y) in a.proximities.iter().zip(&b.proximities) {
@@ -142,13 +135,9 @@ fn serial_and_concurrent_fanout_answer_bitwise_identically() {
         }
     }
 
-    // Tear down: the serial router's shutdown propagates to the shared
-    // backends; the concurrent router's shutdown then only stops itself
-    // (its propagation to the already-dead backends is best-effort).
-    via_serial.shutdown().expect("serial router shutdown");
-    serial.join().expect("serial router join");
-    via_concurrent.shutdown().expect("concurrent router shutdown");
-    concurrent.join().expect("concurrent router join");
+    // The router's shutdown propagates to its backends.
+    via_router.shutdown().expect("router shutdown");
+    router.join().expect("router join");
     for h in backend_handles {
         h.join().expect("backend join");
     }
